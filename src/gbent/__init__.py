@@ -67,14 +67,11 @@ from .errors import (
     NotGbent,
 )
 from .gbf import (
-    ComponentFamily,
     GeneralizedBooleanFunction,
     GwhtSpectrum,
     components,
     gwht,
-    gwht_at,
     gwht_via_components,
-    svector,
 )
 from .gf2m import Field, default_modulus, inverse_exponent
 from .hadamard import match_row, quadruple_condition, row, zero_sum_quadruples
@@ -85,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BentSpaceReport",
     "BooleanFunction",
-    "ComponentFamily",
     "CyclotomicInt",
     "Field",
     "FormatError",
@@ -121,7 +117,6 @@ __all__ = [
     "gray_map",
     "gray_walsh_identity",
     "gwht",
-    "gwht_at",
     "gwht_via_components",
     "identity_transform",
     "inverse_exponent",
@@ -142,7 +137,6 @@ __all__ = [
     "search_gbent",
     "spread_zqbent",
     "sqrt2_decompose",
-    "svector",
     "sweep_exhaustive",
     "sweep_three_routes",
     "verify_gray_plateaued",

@@ -10,8 +10,12 @@ Three independent routes decide gbentness and must always agree:
   quadruple  component (semi-)bentness plus the product relations
              W_{g_j} W_{g_c} = W_{g_l} W_{g_v} on zero-sum index quadruples
 
-Each report carries per-u witnesses: the Hadamard row index r(u), the sign,
-and for odd n which half of the component spectrum vanishes.
+Each route is the F = 1 call of its batch kernel in the sweep module, so a
+single function and a sweep share one implementation.  The per-u
+witnesses of a passing report (the Hadamard row index r(u), the sign, and
+for odd n which half of the component spectrum vanishes) are then read off
+the same arrays: the GWHT coefficient rows for the direct route, the
+component Walsh rows for the other two.
 
 Beyond the verdicts, this module checks the affine (semi-)bent-space
 structure of the component family (dual-sum closure, majority-function
@@ -41,9 +45,17 @@ from .gbf import (
     component_walsh_matrix,
     components,
     coordinates,
+    flat_mask,
     gwht,
 )
-from .hadamard import match_row, quadruple_condition, zero_sum_quadruples
+from .hadamard import match_rows, row, zero_sum_quadruples
+from .sweep import (
+    batch_component_walsh,
+    batch_direct_flat,
+    batch_spectral_pass,
+    quadruple_masks,
+    split_halves,
+)
 
 
 @dataclass(frozen=True)
@@ -76,7 +88,10 @@ class GbentReport:
     failures: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.verdict == (len(self.failures) == 0)
+        if self.verdict != (len(self.failures) == 0):
+            raise InternalInconsistency(
+                f"{self.method} report says verdict={self.verdict} "
+                f"with {len(self.failures)} failures")
 
     def to_text(self) -> str:
         lines = [f"# method: {self.method}",
@@ -104,6 +119,13 @@ def _report(method, f, per_u, failures) -> GbentReport:
                        tuple(per_u), tuple(failures))
 
 
+def _witnesses(r: np.ndarray, sign: np.ndarray, half=None) -> list[PerUWitness]:
+    """Per-u witnesses from (r, sign) arrays and, for odd n, half names."""
+    halves = [None] * len(r) if half is None else half.tolist()
+    return [PerUWitness(u, *w)
+            for u, w in enumerate(zip(r.tolist(), sign.tolist(), halves))]
+
+
 def is_gbent_direct(f: GeneralizedBooleanFunction) -> GbentReport:
     """Definition route: |H_f(u)|^2 = 2^n exactly at every u.
 
@@ -116,53 +138,47 @@ def is_gbent_direct(f: GeneralizedBooleanFunction) -> GbentReport:
     of cyclotomic integers of absolute value 2^{n/2} and raises
     InternalInconsistency.
     """
-    spec = gwht(f)
-    nsq = spec.norm_squared_all()
-    flat = (nsq[:, 0] == 1 << f.n) & (nsq[:, 1:] == 0).all(axis=1)
-    failures = [u for u in range(1 << f.n) if not flat[u]]
-    per_u = []
-    if not failures:
-        even = f.n % 2 == 0
-        half_mag = None if even else 1 << ((f.n - 1) // 2)
-        quarter = 1 << (f.k - 2) if f.k >= 2 else 0
-        for u in range(1 << f.n):
-            row = spec.coeffs[u]
-            nz = np.flatnonzero(row)
-            if even:
-                if len(nz) != 1 or abs(int(row[nz[0]])) != 1 << (f.n // 2):
-                    raise InternalInconsistency(
-                        f"norm passed at u={u} but value is not +-2^(n/2) zeta^r")
-                r = int(nz[0])
-                per_u.append(PerUWitness(u, r, 1 if row[r] > 0 else -1))
-            else:
-                if (len(nz) != 2 or int(nz[1]) - int(nz[0]) != quarter
-                        or int(nz[0]) >= quarter
-                        or abs(int(row[nz[0]])) != half_mag
-                        or abs(int(row[nz[1]])) != half_mag):
-                    raise InternalInconsistency(
-                        f"norm passed at u={u} but value is not sqrt(2) 2^((n-1)/2) zeta^j")
-                r = int(nz[0])
-                sign = 1 if row[r] > 0 else -1
-                half = "high" if row[nz[1]] == row[nz[0]] else "low"
-                per_u.append(PerUWitness(u, r, sign, half))
-    return _report("direct", f, per_u, failures)
-
-
-def _spectral_k1(f: GeneralizedBooleanFunction) -> GbentReport:
-    # GB_n^2 is B_n: gbent means |W(u)| = 2^{n/2} everywhere, which is
-    # bentness for even n and impossible for odd n
-    w = wht(f.coordinate(0))
-    per_u, failures = [], []
+    C = gwht(f).coeffs
+    failures = np.flatnonzero(~flat_mask(f.n, C)).tolist()
+    if failures:
+        return _report("direct", f, [], failures)
+    nz = C != 0
+    r = nz.argmax(axis=1)
+    points = np.arange(1 << f.n)
+    first = C[points, r]
     if f.n % 2 == 0:
-        c = 1 << (f.n // 2)
-        for u in range(1 << f.n):
-            if abs(w[u]) == c:
-                per_u.append(PerUWitness(u, 0, 1 if w[u] > 0 else -1))
-            else:
-                failures.append(u)
+        bad = (nz.sum(axis=1) != 1) | (np.abs(first) != 1 << (f.n // 2))
+        shape, half = "+-2^(n/2) zeta^r", None
     else:
-        failures = list(range(1 << f.n))
-    return _report("spectral", f, per_u if not failures else [], failures)
+        half_mag = 1 << ((f.n - 1) // 2)
+        quarter = C.shape[1] // 2
+        second = C[points, (r + quarter) % C.shape[1]]
+        bad = ((nz.sum(axis=1) != 2) | (r >= quarter)
+               | (np.abs(first) != half_mag) | (np.abs(second) != half_mag))
+        shape, half = "sqrt(2) 2^((n-1)/2) zeta^j", np.where(second == first, "high", "low")
+    if bad.any():
+        raise InternalInconsistency(
+            f"norm passed at u={int(np.flatnonzero(bad)[0])} but value is not {shape}")
+    sign = np.where(first > 0, 1, -1)
+    return _report("direct", f, _witnesses(r, sign, half), failures)
+
+
+def _walsh_report(method: str, f: GeneralizedBooleanFunction, W: np.ndarray,
+                  failures: list[int]) -> GbentReport:
+    """Report with witnesses read off the component Walsh rows W(u).
+
+    The sign and r are read from the entries at positions 0 and 2^s of W(u),
+    or of its nonvanishing half for odd n; the route's verdict never depends
+    on them.
+    """
+    if failures:
+        return _report(method, f, [], failures)
+    half = None
+    if f.n % 2:
+        low_zero, _, W = split_halves(W)
+        half = np.where(low_zero, "low", "high")
+    r, sign, _ = match_rows(W)
+    return _report(method, f, _witnesses(r, sign, half), failures)
 
 
 def is_gbent_spectral(f: GeneralizedBooleanFunction) -> GbentReport:
@@ -173,42 +189,9 @@ def is_gbent_spectral(f: GeneralizedBooleanFunction) -> GbentReport:
     exactly one half and be +-2^{(n+1)/2} times a row of H_{2^{k-2}} on the
     other.  For k=1 this degenerates to the plain bentness test.
     """
-    if f.k == 1:
-        return _spectral_k1(f)
-    W = component_walsh_matrix(f)
-    per_u, failures = [], []
-    if f.n % 2 == 0:
-        c = 1 << (f.n // 2)
-        for u in range(1 << f.n):
-            w = W[u]
-            if not (np.abs(w) == c).all():
-                failures.append(u)
-                continue
-            m = match_row(w // c)
-            if m is None:
-                failures.append(u)
-            else:
-                per_u.append(PerUWitness(u, m.r, m.sign))
-    else:
-        c = 1 << ((f.n + 1) // 2)
-        half = 1 << (f.k - 2)
-        for u in range(1 << f.n):
-            w = W[u]
-            low, high = w[:half], w[half:]
-            low_zero, high_zero = not low.any(), not high.any()
-            if low_zero == high_zero:
-                failures.append(u)
-                continue
-            active, zero_name = (high, "low") if low_zero else (low, "high")
-            if not (np.abs(active) == c).all():
-                failures.append(u)
-                continue
-            m = match_row(active // c)
-            if m is None:
-                failures.append(u)
-            else:
-                per_u.append(PerUWitness(u, m.r, m.sign, zero_name))
-    return _report("spectral", f, per_u if not failures else [], failures)
+    W = batch_component_walsh(f.n, f.k, f.values[None])
+    ok = batch_spectral_pass(f.n, f.k, W)[0]
+    return _walsh_report("spectral", f, W[0], np.flatnonzero(~ok).tolist())
 
 
 def is_gbent_quadruple(f: GeneralizedBooleanFunction) -> GbentReport:
@@ -218,61 +201,15 @@ def is_gbent_quadruple(f: GeneralizedBooleanFunction) -> GbentReport:
     index quadruple must satisfy W_{g_j} W_{g_c} = W_{g_l} W_{g_v}.  Odd n:
     every component must be semi-bent, the zero set of W(u) must be exactly
     one half of the indices, and the product relations must hold on the
-    active half.  Witnesses are reconstructed from the entries at power-of-
-    two positions without any row matching.
+    active half.  When some magnitude is off, the failures are the points
+    where it is; otherwise they are the points where the relations fail.
     """
     if f.k < 2:
         raise InvalidK(f"quadruple route needs k >= 2, got k={f.k}")
-    W = component_walsh_matrix(f)
-    m = 1 << (f.k - 1)
-    per_u, failures = [], []
-    if f.n % 2 == 0:
-        c = 1 << (f.n // 2)
-        if not (np.abs(W) == c).all():
-            bad = (np.abs(W) != c).any(axis=1)
-            return _report("quadruple", f, [], np.flatnonzero(bad).tolist())
-        quads = zero_sum_quadruples(m)
-        for u in range(1 << f.n):
-            w = W[u]
-            if any(w[j] * w[cc] != w[l] * w[v] for j, cc, l, v in quads):
-                failures.append(u)
-                continue
-            sign = 1 if w[0] > 0 else -1
-            r = 0
-            for s in range(f.k - 1):
-                if sign * w[1 << s] < 0:
-                    r |= 1 << s
-            per_u.append(PerUWitness(u, r, sign))
-    else:
-        c = 1 << ((f.n + 1) // 2)
-        semi_ok = ((W == 0) | (np.abs(W) == c)).all()
-        if not semi_ok:
-            bad = ~((W == 0) | (np.abs(W) == c)).all(axis=1)
-            return _report("quadruple", f, [], np.flatnonzero(bad).tolist())
-        half = 1 << (f.k - 2)
-        quads = zero_sum_quadruples(half)
-        for u in range(1 << f.n):
-            w = W[u]
-            low, high = w[:half], w[half:]
-            low_zero, high_zero = not low.any(), not high.any()
-            if low_zero == high_zero:
-                failures.append(u)
-                continue
-            active, zero_name = (high, "low") if low_zero else (low, "high")
-            if (active == 0).any():
-                failures.append(u)
-                continue
-            if any(active[j] * active[cc] != active[l] * active[v]
-                   for j, cc, l, v in quads):
-                failures.append(u)
-                continue
-            sign = 1 if active[0] > 0 else -1
-            r = 0
-            for s in range(f.k - 2):
-                if sign * active[1 << s] < 0:
-                    r |= 1 << s
-            per_u.append(PerUWitness(u, r, sign, zero_name))
-    return _report("quadruple", f, per_u if not failures else [], failures)
+    W = batch_component_walsh(f.n, f.k, f.values[None])
+    magnitudes, relations = quadruple_masks(f.n, W)
+    bad = ~magnitudes[0].all(axis=1) if not magnitudes.all() else ~relations[0]
+    return _walsh_report("quadruple", f, W[0], np.flatnonzero(bad).tolist())
 
 
 def gbent_reports(f: GeneralizedBooleanFunction) -> tuple[GbentReport, ...]:
@@ -281,6 +218,11 @@ def gbent_reports(f: GeneralizedBooleanFunction) -> tuple[GbentReport, ...]:
     if f.k >= 2:
         reports.append(is_gbent_quadruple(f))
     return tuple(reports)
+
+
+def gbent_verdict(f: GeneralizedBooleanFunction) -> bool:
+    """Direct-route verdict alone: the F = 1 flatness kernel, no witnesses."""
+    return bool(batch_direct_flat(f.n, f.k, f.values[None]).all())
 
 
 def is_gbent(f: GeneralizedBooleanFunction) -> bool:
@@ -380,16 +322,13 @@ def bent_space_report(f: GeneralizedBooleanFunction) -> BentSpaceReport:
 
     split_mask: int | None = None
     if not even:
-        W = component_walsh_matrix(f)
-        zero_sets = [frozenset(np.flatnonzero(W[u] == 0).tolist())
-                     for u in range(1 << f.n)]
-        all_indices = frozenset(range(m))
+        zero = component_walsh_matrix(f) == 0
         # prefer the hyperplane of the standard representation <a_0..a_{k-3}>
         candidates = [1 << (f.k - 2)] + [c for c in range(1, m) if c != 1 << (f.k - 2)]
         for c in candidates:
-            inside = frozenset(i for i in range(m) if bin(i & c).count("1") % 2 == 0)
-            outside = all_indices - inside
-            if all(z in (inside, outside) for z in zero_sets):
+            # the zero set of every W(u) must be the hyperplane or its complement
+            inside = row(f.k - 1, c) == 1
+            if ((zero == inside).all(axis=1) | (zero == ~inside).all(axis=1)).all():
                 split_mask = c
                 break
     return BentSpaceReport(f.n, f.k, is_space, dual_sum_closed,
@@ -437,9 +376,8 @@ def is_zq_bent(f: GeneralizedBooleanFunction) -> ZqBentReport:
     """
     if f.n % 2:
         raise OddN("Z_q-bentness is defined here for even n only")
-    per_a = tuple(is_gbent_direct(f.scale(a)).verdict
-                  for a in range(1, 1 << f.k))
-    per_t = tuple(is_gbent_direct(f.truncate(t)).verdict for t in range(f.k))
+    per_a = tuple(gbent_verdict(f.scale(a)) for a in range(1, 1 << f.k))
+    per_t = tuple(gbent_verdict(f.truncate(t)) for t in range(f.k))
     if all(per_a) != all(per_t):
         raise InternalInconsistency(
             f"multiple route says {all(per_a)}, truncation route says {all(per_t)}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import is_gbent_direct, is_zq_bent
+from .analysis import gbent_verdict, is_zq_bent
 from .boolfn import BooleanFunction, classify, dual, wht
 from .errors import (
     BadM,
@@ -372,7 +372,7 @@ def lift(f: GeneralizedBooleanFunction, r: int) -> GeneralizedBooleanFunction:
     """
     if r < f.k:
         raise RLessThanK(f"need r >= k, got r = {r} < k = {f.k}")
-    if not is_gbent_direct(f).verdict:
+    if not gbent_verdict(f):
         raise NotGbent("only gbent functions are lifted")
     if r == f.k:
         return f
@@ -388,6 +388,6 @@ def lift(f: GeneralizedBooleanFunction, r: int) -> GeneralizedBooleanFunction:
         values += coords[f.k - 2].table.astype(np.int64) << (r - 2)
         values += coords[f.k - 1].table.astype(np.int64) << (r - 1)
     out = GeneralizedBooleanFunction(f.n, r, values)
-    if not is_gbent_direct(out).verdict:
+    if not gbent_verdict(out):
         raise InternalInconsistency("lifted function is not gbent")
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidK
+from .errors import InternalInconsistency, InvalidK
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
@@ -203,7 +203,9 @@ def sqrt2_decompose(k: int, j: int) -> Sqrt2Decomposition:
         dec = Sqrt2Decomposition(k, j, hi - m, lo, -1, 1)
     else:
         dec = Sqrt2Decomposition(k, j, lo, hi, 1, 1)
-    assert dec.J2 - dec.J1 == 1 << (k - 2)
+    if dec.J2 - dec.J1 != 1 << (k - 2):
+        raise InternalInconsistency(
+            f"sqrt(2) zeta^{j}: exponents {dec.J1}, {dec.J2} are not 2^(k-2) apart")
     return dec
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import is_gbent_direct
+from .analysis import gbent_verdict, is_gbent_direct
 from .boolfn import BooleanFunction, SpectralClass, classify, dual, wht
 from .errors import (
     IndexOutOfRange,
@@ -38,6 +38,9 @@ from .gbf import (
     assemble,
     component_walsh_matrix,
     components,
+    flat_mask,
+    gwht,
+    zeta_powers,
 )
 from .hadamard import row
 
@@ -52,24 +55,26 @@ def dual_gbent(f: GeneralizedBooleanFunction) -> GeneralizedBooleanFunction:
     """
     if f.n % 2:
         raise OddN("no dual is constructed for odd n")
-    rep = is_gbent_direct(f)
-    if not rep.verdict:
+    coeffs = gwht(f).coeffs
+    flat = flat_mask(f.n, coeffs)
+    if not flat.all():
         raise NotGbent(f"dual requires a gbent function; fails at u in "
-                       f"{list(rep.failures)[:8]}")
+                       f"{np.flatnonzero(~flat)[:8].tolist()}")
     g0 = f.coordinate(f.k - 1)
     d0 = dual(g0)
     coords = [d0 ^ dual(g0 ^ f.coordinate(j)) for j in range(f.k - 1)]
     coords.append(d0)
     fdual = assemble(coords)
 
-    half = 1 << (f.k - 1)
-    for wit in rep.per_u:
-        expected = wit.r + (half if wit.sign < 0 else 0)
-        if int(fdual.values[wit.u]) != expected:
-            raise InternalInconsistency(
-                f"dual value at u={wit.u} is {int(fdual.values[wit.u])}, "
-                f"but H_f(u) = {wit.sign:+d} 2^(n/2) zeta^{wit.r}")
-    if not is_gbent_direct(fdual).verdict:
+    wrong = (coeffs != zeta_powers(fdual.values, f.k) << (f.n // 2)).any(axis=1)
+    if wrong.any():
+        # the witness of H_f(u) names the value the dual should have taken;
+        # is_gbent_direct raises first if H_f(u) is not +-2^(n/2) zeta^r at all
+        wit = is_gbent_direct(f).per_u[int(np.flatnonzero(wrong)[0])]
+        raise InternalInconsistency(
+            f"dual value at u={wit.u} is {int(fdual.values[wit.u])}, "
+            f"but H_f(u) = {wit.sign:+d} 2^(n/2) zeta^{wit.r}")
+    if not gbent_verdict(fdual):
         raise InternalInconsistency("constructed dual is not gbent")
     return fdual
 
@@ -121,7 +126,7 @@ def verify_gray_plateaued(f: GeneralizedBooleanFunction) -> SpectralClass:
     even n and (k-2)-plateaued for odd n (reported as Bent or SemiBent when
     the order is 0 or 1).
     """
-    if not is_gbent_direct(f).verdict:
+    if not gbent_verdict(f):
         raise NotGbent("Gray plateau verification requires a gbent function")
     image = gray_map(f)
     cls = classify(wht(image.function))

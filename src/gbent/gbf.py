@@ -18,17 +18,18 @@ as an independent second route to the GWHT.
 The GWHT itself is computed exactly: each value zeta^{f(x)} is a signed
 basis vector of Z[zeta_{2^k}], the whole spectrum is one integer coefficient
 matrix of shape (2^n, 2^{k-1}), and the transform is a butterfly down the
-position axis.
+position axis.  The array functions (zeta_powers, gwht_coeffs,
+component_signs, component_walsh, flat_mask) work over leading axes, so one function and a
+batch of F functions run through the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .boolfn import MAX_N, BooleanFunction, fwht_, wht
+from .boolfn import MAX_N, BooleanFunction, fwht_
 from .cyclotomic import CyclotomicInt, norm_squared_coeffs
 from .errors import FormatError, InternalInconsistency, InvalidK, ShapeMismatch
 
@@ -139,51 +140,47 @@ def assemble(coords) -> GeneralizedBooleanFunction:
     return GeneralizedBooleanFunction(n, len(coords), vals)
 
 
-def component_sign_matrix(f: GeneralizedBooleanFunction) -> np.ndarray:
-    """(-1)^{g_i(x)} as an int64 array of shape (2^n, 2^{k-1}), k >= 2.
+def component_signs(V: np.ndarray, k: int) -> np.ndarray:
+    """(-1)^{g_i(x)} for value tables over leading axes: shape (..., 2^n, 2^{k-1}).
 
-    Row x is (-1)^{a_{k-1}(x)} times the Hadamard row indexed by the low
-    k-1 bits of f(x), since g_i(x) = a_{k-1}(x) xor (bits of i).(low bits of f(x)).
+    Entry (x, i) is (-1)^{a_{k-1}(x)} times the Hadamard row indexed by the
+    low k-1 bits of f(x), since g_i(x) = a_{k-1}(x) xor (bits of i).(low bits
+    of f(x)).  For k = 1 the single column is (-1)^{a_0(x)}.
     """
+    m = 1 << (k - 1)
+    low = (V & (m - 1)).astype(np.uint32)
+    top = (V >> (k - 1)).astype(np.int64)
+    i = np.arange(m, dtype=np.uint32)
+    rows = 1 - 2 * (np.bitwise_count(low[..., None] & i) & 1).astype(np.int64)
+    return (1 - 2 * top)[..., None] * rows
+
+
+def component_walsh(V: np.ndarray, k: int) -> np.ndarray:
+    """W_{g_i}(u) for value tables over leading axes: shape (..., 2^n, 2^{k-1}).
+
+    The butterfly of component_signs down the position axis.
+    """
+    S = component_signs(V, k)
+    fwht_(S, axis=-2)
+    return S
+
+
+def _component_k(f: GeneralizedBooleanFunction) -> int:
     if f.k < 2:
         raise InvalidK(f"component functions need k >= 2, got k={f.k}")
-    m = 1 << (f.k - 1)
-    low = (f.values & (m - 1)).astype(np.uint32)
-    top = (f.values >> (f.k - 1)).astype(np.int64)
-    i = np.arange(m, dtype=np.uint32)
-    rows = 1 - 2 * (np.bitwise_count(low[:, None] & i[None, :]) & 1).astype(np.int64)
-    return (1 - 2 * top)[:, None] * rows
+    return f.k
 
 
 def component_walsh_matrix(f: GeneralizedBooleanFunction) -> np.ndarray:
-    """W_{g_i}(u) for all components at once: shape (2^n, 2^{k-1}), row u."""
-    signs = component_sign_matrix(f)
-    fwht_(signs, axis=0)
-    return signs
+    """W_{g_i}(u) for all components at once: shape (2^n, 2^{k-1}), row u, k >= 2."""
+    return component_walsh(f.values, _component_k(f))
 
 
-@dataclass(frozen=True)
-class ComponentFamily:
-    """The 2^{k-1} component functions g_i in index order."""
-
-    components: tuple[BooleanFunction, ...]
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __getitem__(self, i: int) -> BooleanFunction:
-        return self.components[i]
-
-    def __iter__(self):
-        return iter(self.components)
-
-
-def components(f: GeneralizedBooleanFunction) -> ComponentFamily:
+def components(f: GeneralizedBooleanFunction) -> tuple[BooleanFunction, ...]:
     """All component functions g_i = a_{k-1} xor i_0 a_0 xor ... xor i_{k-2} a_{k-2}."""
-    signs = component_sign_matrix(f)
+    signs = component_signs(f.values, _component_k(f))
     tables = ((1 - signs) // 2).astype(np.uint8)
-    return ComponentFamily(tuple(
-        BooleanFunction(f.n, tables[:, i]) for i in range(signs.shape[1])))
+    return tuple(BooleanFunction(f.n, tables[:, i]) for i in range(signs.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,10 +211,6 @@ class GwhtSpectrum:
     def __getitem__(self, u: int) -> CyclotomicInt:
         return CyclotomicInt(self.k, tuple(int(c) for c in self.coeffs[u]))
 
-    @cached_property
-    def values(self) -> tuple[CyclotomicInt, ...]:
-        return tuple(self[u] for u in range(1 << self.n))
-
     def norm_squared_all(self) -> np.ndarray:
         """|H(u)|^2 coefficient matrix, shape (2^n, 2^{k-1})."""
         return norm_squared_coeffs(self.coeffs)
@@ -232,20 +225,41 @@ class GwhtSpectrum:
         return hash((self.n, self.k, self.coeffs.tobytes()))
 
 
-def gwht(f: GeneralizedBooleanFunction) -> GwhtSpectrum:
-    """H_f(u) = sum_x zeta^{f(x)} (-1)^{u.x}, exactly, for all u at once.
+def zeta_powers(V: np.ndarray, k: int) -> np.ndarray:
+    """zeta^{f(x)} as power-basis rows for value tables over leading axes.
 
-    zeta^{f(x)} is +-1 times a basis power (sign from the top bit of f(x)),
-    so the initial matrix has one +-1 entry per row; the butterfly down the
-    position axis then sums the character terms coefficientwise.
+    zeta^v is +-1 times a basis power (sign from the top bit of v), so the
+    result, of shape (..., 2^n, 2^{k-1}), has one +-1 entry per row.
     """
-    m = 1 << (f.k - 1)
-    Z = np.zeros((1 << f.n, m), dtype=np.int64)
-    lo = (f.values % m).astype(np.int64)
-    sign = np.where(f.values >= m, -1, 1).astype(np.int64)
-    Z[np.arange(1 << f.n), lo] = sign
-    fwht_(Z, axis=0)
-    return GwhtSpectrum(f.n, f.k, Z)
+    m = 1 << (k - 1)
+    low = (V & (m - 1)).astype(np.int64)
+    sign = (1 - 2 * (V >> (k - 1))).astype(np.int64)
+    Z = np.zeros(V.shape + (m,), dtype=np.int64)
+    np.put_along_axis(Z, low[..., None], sign[..., None], axis=-1)
+    return Z
+
+
+def gwht_coeffs(V: np.ndarray, k: int) -> np.ndarray:
+    """H_f(u) coefficient rows for value tables over leading axes.
+
+    The butterfly down the position axis of zeta_powers sums the character
+    terms coefficientwise: shape (..., 2^n, 2^{k-1}), int64 with every
+    coefficient bounded by 2^n.
+    """
+    Z = zeta_powers(V, k)
+    fwht_(Z, axis=-2)
+    return Z
+
+
+def flat_mask(n: int, coeffs: np.ndarray) -> np.ndarray:
+    """|H(u)|^2 = 2^n exactly, over the leading axes of a coefficient array."""
+    norms = norm_squared_coeffs(coeffs)
+    return (norms[..., 0] == 1 << n) & (norms[..., 1:] == 0).all(axis=-1)
+
+
+def gwht(f: GeneralizedBooleanFunction) -> GwhtSpectrum:
+    """H_f(u) = sum_x zeta^{f(x)} (-1)^{u.x}, exactly, for all u at once."""
+    return GwhtSpectrum(f.n, f.k, gwht_coeffs(f.values, f.k))
 
 
 def gwht_via_components(f: GeneralizedBooleanFunction) -> GwhtSpectrum:
@@ -254,40 +268,9 @@ def gwht_via_components(f: GeneralizedBooleanFunction) -> GwhtSpectrum:
     Computes W_{g_i} for all i, forms S(u) = H_{2^{k-1}} W(u), and divides
     by 2^{k-1}; the division must be exact and the result must equal gwht(f).
     """
-    signs = component_sign_matrix(f)
-    fwht_(signs, axis=0)          # column i is now W_{g_i}
-    fwht_(signs, axis=1)          # row u is now S(u)
+    S = component_walsh_matrix(f)
+    fwht_(S, axis=1)              # row u is now S(u)
     m = 1 << (f.k - 1)
-    if (signs & (m - 1)).any():
+    if (S & (m - 1)).any():
         raise InternalInconsistency("component route: S(u) not divisible by 2^{k-1}")
-    return GwhtSpectrum(f.n, f.k, signs >> (f.k - 1))
-
-
-@dataclass(frozen=True)
-class SVector:
-    """S(u) = H_{2^{k-1}} (W_{g_0}(u), ..., W_{g_{2^{k-1}-1}}(u))^T for one u."""
-
-    k: int
-    u: int
-    entries: tuple[int, ...]
-
-
-def svector(f: GeneralizedBooleanFunction, u: int) -> SVector:
-    """The S-vector at a single point u, computed from component spectra."""
-    signs = component_sign_matrix(f)
-    x = np.arange(1 << f.n, dtype=np.uint32)
-    chi = 1 - 2 * (np.bitwise_count(x & np.uint32(u)) & 1).astype(np.int64)
-    W = chi @ signs               # W_{g_i}(u) for all i
-    fwht_(W)
-    return SVector(f.k, u, tuple(int(s) for s in W))
-
-
-def gwht_at(f: GeneralizedBooleanFunction, u: int) -> CyclotomicInt:
-    """Single-point GWHT by direct summation (no transform)."""
-    m = 1 << (f.k - 1)
-    x = np.arange(1 << f.n, dtype=np.uint32)
-    chi = 1 - 2 * (np.bitwise_count(x & np.uint32(u)) & 1).astype(np.int64)
-    sign = np.where(f.values >= m, -chi, chi)
-    coeffs = np.zeros(m, dtype=np.int64)
-    np.add.at(coeffs, (f.values % m).astype(np.int64), sign)
-    return CyclotomicInt(f.k, tuple(int(c) for c in coeffs))
+    return GwhtSpectrum(f.n, f.k, S >> (f.k - 1))

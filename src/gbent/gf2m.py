@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import DivisionByZero, NoRoot, NotCoprime
+from .errors import DivisionByZero, InternalInconsistency, NoRoot, NotCoprime
 
 
 def _pmul(a: int, b: int) -> int:
@@ -109,7 +109,8 @@ class Field:
         for _ in range(self.m - 1):
             acc = self.mul(acc, acc)
             t ^= acc
-        assert t in (0, 1)
+        if t not in (0, 1):
+            raise InternalInconsistency(f"trace of {a} in GF(2^{self.m}) is {t}, not a bit")
         return t
 
     def poly_eval(self, poly: int, x: int) -> int:
@@ -126,9 +127,6 @@ class Field:
                 return e
         raise NoRoot(f"{poly:#b} has no root in GF(2^{self.m})")
 
-    def element_hex(self, a: int) -> str:
-        return format(a, "x")
-
 
 def inverse_exponent(e: int, m: int) -> int:
     """d with e d = 1 (mod 2^m - 1), for exponents coprime to the order."""
@@ -136,5 +134,6 @@ def inverse_exponent(e: int, m: int) -> int:
     if gcd(e, order) != 1:
         raise NotCoprime(f"gcd({e}, {order}) = {gcd(e, order)} != 1")
     d = pow(e, -1, order)
-    assert (e * d) % order == 1 and 1 <= d < order
+    if (e * d) % order != 1 or not 1 <= d < order:
+        raise InternalInconsistency(f"{d} does not invert {e} modulo {order}")
     return d

@@ -50,22 +50,28 @@ def _validate_pm1(w) -> np.ndarray:
     return v
 
 
-def match_row(w) -> RowMatch | None:
-    """Identify w as a signed Sylvester-Hadamard row, or None.
+def match_rows(W: np.ndarray, c: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed-row match along the last axis: (r, sign, ok) per leading index.
 
-    The sign is w[0] and bit s of r is read off w[2^s], since
-    H^{(r)}[2^s] = (-1)^{r_s}; the full vector is then verified.
+    The sign is that of W[..., 0] and bit s of r is set where
+    sign * W[..., 2^s] < 0, since H^{(r)}[2^s] = (-1)^{r_s}; ok holds
+    exactly where W == sign * c * H^{(r)} entrywise.
     """
-    v = _validate_pm1(w)
-    k = int(v.size).bit_length() - 1
-    sign = int(v[0])
-    r = 0
-    for s in range(k):
-        if sign * v[1 << s] == -1:
-            r |= 1 << s
-    if np.array_equal(v, sign * row(k, r)):
-        return RowMatch(r, sign)
-    return None
+    m = W.shape[-1]
+    bits = m.bit_length() - 1
+    H = np.stack([row(bits, r) for r in range(m)])
+    sign = np.where(W[..., 0] > 0, 1, -1).astype(np.int64)
+    r = np.zeros(W.shape[:-1], dtype=np.int64)
+    for s in range(bits):
+        r |= ((sign * W[..., 1 << s]) < 0).astype(np.int64) << s
+    ok = (W == sign[..., None] * c * H[r]).all(axis=-1)
+    return r, sign, ok
+
+
+def match_row(w) -> RowMatch | None:
+    """Identify w as a signed Sylvester-Hadamard row, or None."""
+    r, sign, ok = match_rows(_validate_pm1(w))
+    return RowMatch(int(r), int(sign)) if ok else None
 
 
 @lru_cache(maxsize=None)
@@ -87,6 +93,14 @@ def zero_sum_quadruples(size: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(quads)
 
 
+def products_hold(W: np.ndarray) -> np.ndarray:
+    """w_j w_c == w_l w_v on every zero-sum index quadruple of the last axis."""
+    out = np.ones(W.shape[:-1], dtype=bool)
+    for j, c, l, v in zero_sum_quadruples(W.shape[-1]):
+        out &= W[..., j] * W[..., c] == W[..., l] * W[..., v]
+    return out
+
+
 def quadruple_condition(w) -> bool:
     """True iff w_j w_c = w_l w_v on every zero-sum index quadruple.
 
@@ -94,8 +108,4 @@ def quadruple_condition(w) -> bool:
     vectors shorter than 8 satisfy it vacuously or via the single quadruple
     (0,1,2,3).
     """
-    v = _validate_pm1(w)
-    for j, c, l, t in zero_sum_quadruples(int(v.size)):
-        if v[j] * v[c] != v[l] * v[t]:
-            return False
-    return True
+    return bool(products_hold(_validate_pm1(w)))

@@ -1,18 +1,21 @@
 """Vectorized gbent testing over whole families of functions.
 
-The scalar routes in the analysis module decide one function at a time;
-here the same three routes run over a values matrix V of shape (F, 2^n)
-holding F functions at once, entirely in integer numpy:
+The three routes run over a values matrix V of shape (F, 2^n) holding F
+functions at once, entirely in integer numpy:
 
-  direct     one index-and-sign tensor per function, FWHT along the point
-             axis, exact negacyclic norms: flat iff |H(u)|^2 = 2^n
+  direct     zeta-power tensor, FWHT along the point axis, exact
+             negacyclic norms: flat iff |H(u)|^2 = 2^n
   spectral   component sign tensors, FWHT, vectorized Hadamard row match
   quadruple  component magnitudes plus the product relations
 
+These kernels are the only implementation of each route: the single-function
+routes in the analysis module call them with F = 1 and then read their
+per-u witnesses off the same coefficient and Walsh arrays.
+
 All routes use int64 throughout (coefficients are bounded by 2^n and norms
-by 2^{2n}).  A sweep asserts pointwise equality of the direct and spectral
-per-u pass masks and verdict equality of all routes; any discrepancy is
-collected rather than raised, so callers can report it.
+by 2^{2n}).  A sweep compares the direct and spectral per-u pass masks
+pointwise and the verdicts of all routes; any discrepancy is collected
+rather than raised, so callers can report it.
 
 Enumeration helpers provide exhaustive (lexicographic truth-table order)
 and random function families in chunks, and search_gbent drives them for
@@ -26,96 +29,73 @@ from typing import Iterator
 
 import numpy as np
 
-from .analysis import gbent_reports
-from .boolfn import fwht_
-from .cyclotomic import norm_squared_coeffs
-from .errors import SpaceTooLarge
-from .gbf import GeneralizedBooleanFunction
-from .hadamard import row, zero_sum_quadruples
+from .errors import InternalInconsistency, SpaceTooLarge
+from .gbf import GeneralizedBooleanFunction, component_walsh, flat_mask, gwht_coeffs
+from .hadamard import match_rows, products_hold
 
 SEARCH_BITS_CAP = 24
 
 
 def batch_direct_flat(n: int, k: int, V: np.ndarray) -> np.ndarray:
     """(F, 2^n) mask: |H_f(u)|^2 = 2^n exactly, for each function and u."""
-    F, N = V.shape
-    m = 1 << (k - 1)
-    low = (V & (m - 1)).astype(np.int64)
-    sign = (1 - 2 * (V >> (k - 1))).astype(np.int64)
-    Z = np.zeros((F, N, m), dtype=np.int64)
-    np.put_along_axis(Z, low[:, :, None], sign[:, :, None], axis=2)
-    fwht_(Z, axis=1)
-    norms = norm_squared_coeffs(Z)
-    return (norms[..., 0] == 1 << n) & (norms[..., 1:] == 0).all(axis=-1)
+    return flat_mask(n, gwht_coeffs(V, k))
 
 
 def batch_component_walsh(n: int, k: int, V: np.ndarray) -> np.ndarray:
     """(F, 2^n, 2^{k-1}) tensor of component Walsh values W_{g_i}(u)."""
-    m = 1 << (k - 1)
-    low = V & (m - 1)
-    top = (V >> (k - 1)).astype(np.int64)
-    par = (np.bitwise_count((low[:, :, None] & np.arange(m)).astype(np.uint64))
-           & 1).astype(np.int64)
-    S = (1 - 2 * par) * (1 - 2 * top)[:, :, None]
-    fwht_(S, axis=1)
-    return S
+    return component_walsh(V, k)
 
 
-def _match_rows_even(W: np.ndarray, c: int, bits: int) -> np.ndarray:
-    """Vectorized signed-Hadamard-row match on the last axis."""
-    m = W.shape[-1]
-    H = np.stack([row(bits, r) for r in range(m)])
-    sign = np.where(W[..., 0] > 0, 1, -1).astype(np.int64)
-    r = np.zeros(W.shape[:-1], dtype=np.int64)
-    for s in range(bits):
-        r |= ((sign * W[..., 1 << s]) < 0).astype(np.int64) << s
-    pred = sign[..., None] * c * H[r]
-    return (W == pred).all(axis=-1)
+def split_halves(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(low_zero, high_zero, active) for odd n along the last axis of W.
 
-
-def batch_spectral_pass(n: int, k: int, W: np.ndarray) -> np.ndarray:
-    """(F, 2^n) mask: the component vector W(u) has the gbent shape."""
-    if k == 1:
-        if n % 2:
-            return np.zeros(W.shape[:2], dtype=bool)
-        return np.abs(W[..., 0]) == 1 << (n // 2)
-    if n % 2 == 0:
-        return _match_rows_even(W, 1 << (n // 2), k - 1)
-    half = 1 << (k - 2)
-    c = 1 << ((n + 1) // 2)
+    low_zero and high_zero tell which half of W(u) vanishes; active is the
+    high half where the low one vanishes and the low half otherwise.
+    """
+    half = W.shape[-1] // 2
     low, high = W[..., :half], W[..., half:]
     low_zero = (low == 0).all(axis=-1)
     high_zero = (high == 0).all(axis=-1)
-    active = np.where(low_zero[..., None], high, low)
-    return (low_zero ^ high_zero) & _match_rows_even(active, c, k - 2)
+    return low_zero, high_zero, np.where(low_zero[..., None], high, low)
 
 
-def _products_hold(W: np.ndarray, quads) -> np.ndarray:
-    out = np.ones(W.shape[:-1], dtype=bool)
-    for j, cc, l, v in quads:
-        out &= W[..., j] * W[..., cc] == W[..., l] * W[..., v]
-    return out
+def batch_spectral_pass(n: int, k: int, W: np.ndarray) -> np.ndarray:
+    """(F, 2^n) mask: the component vector W(u) has the gbent shape.
+
+    Even n: W(u) = +-2^{n/2} H^{(r)}.  Odd n: one half of W(u) vanishes and
+    the other is +-2^{(n+1)/2} H^{(r)}; impossible for k = 1.
+    """
+    if n % 2 == 0:
+        return match_rows(W, 1 << (n // 2))[2]
+    if k == 1:
+        return np.zeros(W.shape[:-1], dtype=bool)
+    low_zero, high_zero, active = split_halves(W)
+    return (low_zero ^ high_zero) & match_rows(active, 1 << ((n + 1) // 2))[2]
+
+
+def quadruple_masks(n: int, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(magnitudes, relations) of the product-relation route, k >= 2.
+
+    magnitudes has the shape of W and holds where |W_{g_i}(u)| = 2^{n/2}
+    (even n) or W_{g_i}(u) is 0 or +-2^{(n+1)/2} (odd n).  relations is
+    per u: even n, the product relations hold on W(u); odd n, exactly one
+    half of W(u) vanishes and the other has no zero and satisfies the
+    product relations.
+    """
+    if n % 2 == 0:
+        return np.abs(W) == 1 << (n // 2), products_hold(W)
+    c = 1 << ((n + 1) // 2)
+    low_zero, high_zero, active = split_halves(W)
+    relations = ((low_zero ^ high_zero)
+                 & (active != 0).all(axis=-1)
+                 & products_hold(active))
+    return (W == 0) | (np.abs(W) == c), relations
 
 
 def batch_quadruple_verdict(n: int, k: int, W: np.ndarray) -> np.ndarray:
     """(F,) verdicts of the product-relation route, k >= 2."""
-    m = 1 << (k - 1)
-    if n % 2 == 0:
-        c = 1 << (n // 2)
-        mag = (np.abs(W) == c).all(axis=(1, 2))
-        prods = _products_hold(W, zero_sum_quadruples(m)).all(axis=1)
-        return mag & prods
-    c = 1 << ((n + 1) // 2)
-    semi = ((W == 0) | (np.abs(W) == c)).all(axis=(1, 2))
-    half = 1 << (k - 2)
-    low, high = W[..., :half], W[..., half:]
-    low_zero = (low == 0).all(axis=-1)
-    high_zero = (high == 0).all(axis=-1)
-    active = np.where(low_zero[..., None], high, low)
-    per_u = ((low_zero ^ high_zero)
-             & (active != 0).all(axis=-1)
-             & _products_hold(active, zero_sum_quadruples(half)))
-    return semi & per_u.all(axis=1)
+    magnitudes, relations = quadruple_masks(n, W)
+    return magnitudes.all(axis=(1, 2)) & relations.all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -198,9 +178,10 @@ def search_gbent(n: int, k: int, count: int | None = None,
                  ) -> tuple[list[GeneralizedBooleanFunction], int]:
     """Gbent functions from exhaustive (count=None) or random enumeration.
 
-    Every batch hit is re-verified by the scalar routes before being
-    returned; a route disagreement would surface here as an exception.
-    Returns (found functions, total functions examined).
+    The hits of each chunk are re-verified by one three-route sweep before
+    being returned; a route disagreement or a hit that fails there raises
+    InternalInconsistency.  Returns (found functions, total functions
+    examined).
     """
     found: list[GeneralizedBooleanFunction] = []
     total = 0
@@ -211,11 +192,12 @@ def search_gbent(n: int, k: int, count: int | None = None,
             rng = np.random.default_rng()
         chunks = iter([random_values(rng, n, k, count)])
     for V in chunks:
-        mask = batch_direct_flat(n, k, V).all(axis=1)
+        hits = V[batch_direct_flat(n, k, V).all(axis=1)]
+        check = sweep_three_routes(n, k, hits)
+        if check.mismatches or check.gbent_count != check.total:
+            raise InternalInconsistency(
+                f"{check.total} search hits in GB_{n}^{1 << k}: routes disagree on "
+                f"{len(check.mismatches)}, {check.total - check.gbent_count} not gbent")
         total += len(V)
-        for i in np.flatnonzero(mask):
-            f = GeneralizedBooleanFunction(n, k, V[i])
-            reports = gbent_reports(f)
-            assert all(r.verdict for r in reports)
-            found.append(f)
+        found.extend(GeneralizedBooleanFunction(n, k, v) for v in hits)
     return found, total

@@ -1,6 +1,9 @@
 """Tests for the gbent decision routes and structural analysis."""
 
 import itertools
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from gbent.boolfn import BooleanFunction, wht
 from gbent.cyclotomic import CyclotomicInt
 
 zeta_pow = CyclotomicInt.zeta_pow
-from gbent.errors import InvalidK, NotZeroSum, OddN, TooLarge
+from gbent.constructions import lift, regular_spread, spread_zqbent
+from gbent.errors import InternalInconsistency, InvalidK, NotZeroSum, OddN, TooLarge
 from gbent.gbf import GeneralizedBooleanFunction, gwht
 
 IP4 = [(x & 1) * ((x >> 2) & 1) ^ ((x >> 1) & 1) * ((x >> 3) & 1)
@@ -162,13 +166,19 @@ class TestRouteAgreement:
 
 
 class TestWitnesses:
-    @pytest.mark.parametrize("f", [SEED22, SEED32, SEED43], ids=["22", "32", "43"])
+    @pytest.mark.parametrize("f", [
+        SEED22, SEED32, SEED43,
+        spread_zqbent(regular_spread(4), 4, range(16)),
+        lift(SEED32, 3),
+        GeneralizedBooleanFunction(4, 1, IP4),
+    ], ids=["22", "32", "43", "spread84", "lift33", "bent41"])
     def test_witness_reconstructs_gwht(self, f):
         spec = gwht(f)
-        rep = is_gbent_direct(f)
-        assert len(rep.per_u) == 1 << f.n
-        for wit in rep.per_u:
-            assert witness_value(wit, f.n, f.k) == spec[wit.u]
+        for rep in gbent_reports(f):
+            assert rep.verdict, rep.method
+            assert [wit.u for wit in rep.per_u] == list(range(1 << f.n))
+            for wit in rep.per_u:
+                assert witness_value(wit, f.n, f.k) == spec[wit.u]
 
     def test_witness_reconstruction_exhaustive(self):
         for f in all_gbfs(2, 2):
@@ -231,8 +241,35 @@ class TestReportFormat:
         assert d["failures"] == []
 
     def test_report_invariant(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InternalInconsistency):
             GbentReport(True, "direct", 2, 2, (), (3,))
+
+    def test_invariants_survive_optimized_mode(self):
+        # python -O strips assert statements; these checks must still raise
+        script = textwrap.dedent("""
+            import numpy as np
+            import gbent.sweep as sweep
+            from gbent.analysis import GbentReport
+            from gbent.errors import InternalInconsistency
+
+            assert False, "assertions are enabled"
+            try:
+                GbentReport(True, "direct", 2, 2, (), (3,))
+                raise SystemExit("contradictory report accepted")
+            except InternalInconsistency:
+                pass
+            sweep.batch_spectral_pass = lambda n, k, W: np.zeros(W.shape[:-1], bool)
+            try:
+                sweep.search_gbent(2, 2)
+                raise SystemExit("search returned hits the routes disagree on")
+            except InternalInconsistency:
+                pass
+            print("ok")
+        """)
+        res = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "ok\n"
 
 
 class TestBentSpace:

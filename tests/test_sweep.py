@@ -1,9 +1,11 @@
-"""Batch sweep kernels against the scalar routes."""
+"""Batch sweep kernels against the naive oracles and the consensus verdict."""
 
 import numpy as np
 import pytest
 
-from gbent.analysis import gbent_reports, is_gbent
+from gbent.analysis import is_gbent
+from gbent.boolfn import BooleanFunction
+from gbent.cyclotomic import CyclotomicInt, norm_squared
 from gbent.errors import SpaceTooLarge
 from gbent.gbf import GeneralizedBooleanFunction
 from gbent.sweep import (
@@ -18,15 +20,21 @@ from gbent.sweep import (
     sweep_three_routes,
 )
 
+from conftest import gwht_naive_at, wht_naive
 
-def scalar_reports(n, k, values):
-    return gbent_reports(GeneralizedBooleanFunction(n, k, values))
+
+def naive_flat(n, k, values):
+    """Per-u mask |H_f(u)|^2 = 2^n from the definitional GWHT sums."""
+    target = CyclotomicInt.from_int(k, 1 << n)
+    return np.array([norm_squared(gwht_naive_at(values, n, k, u)) == target
+                     for u in range(1 << n)])
 
 
 class TestBatchKernels:
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (2, 2), (3, 2),
                                      (4, 3), (3, 3), (4, 4), (5, 4)])
     def test_matches_scalar_routes(self, rng, n, k):
+        # the scalar reference is the per-u definitional sum, not a route
         V = random_values(rng, n, k, 40)
         direct = batch_direct_flat(n, k, V)
         W = batch_component_walsh(n, k, V)
@@ -34,21 +42,26 @@ class TestBatchKernels:
         if k >= 2:
             quad = batch_quadruple_verdict(n, k, W)
         for i in range(len(V)):
-            reports = scalar_reports(n, k, V[i])
-            want = np.ones(1 << n, dtype=bool)
-            want[list(reports[0].failures)] = False
+            want = naive_flat(n, k, V[i])
             assert (direct[i] == want).all()
-            want[:] = True
-            want[list(reports[1].failures)] = False
             assert (spectral[i] == want).all()
             if k >= 2:
-                assert quad[i] == reports[2].verdict
+                assert quad[i] == want.all()
 
     def test_component_walsh_values(self, rng):
-        from gbent.gbf import component_walsh_matrix
-        f = GeneralizedBooleanFunction(3, 3, rng.integers(0, 8, size=8))
-        W = batch_component_walsh(3, 3, f.values[None, :])
-        assert (W[0] == component_walsh_matrix(f)).all()
+        for n, k in [(2, 1), (3, 2), (3, 3), (4, 4)]:
+            V = random_values(rng, n, k, 5)
+            W = batch_component_walsh(n, k, V)
+            for i, values in enumerate(V):
+                bits = [(values >> j) & 1 for j in range(k)]
+                for c in range(1 << (k - 1)):
+                    # g_c = a_{k-1} + sum of the a_j with bit j of c set
+                    g = bits[k - 1].copy()
+                    for j in range(k - 1):
+                        if (c >> j) & 1:
+                            g ^= bits[j]
+                    want = wht_naive(BooleanFunction(n, g.astype(np.uint8)))
+                    assert (W[i, :, c] == want).all()
 
 
 class TestSweep:
