@@ -12,10 +12,12 @@ Three independent routes decide gbentness and must always agree:
 
 Each route is the F = 1 call of its batch kernel in the sweep module, so a
 single function and a sweep share one implementation.  The per-u
-witnesses of a passing report (the Hadamard row index r(u), the sign, and
-for odd n which half of the component spectrum vanishes) are then read off
-the same arrays: the GWHT coefficient rows for the direct route, the
-component Walsh rows for the other two.
+witness columns of a passing report (the Hadamard row index r(u), the
+sign, and for odd n which half of the component spectrum vanishes) are
+read off the same arrays: the GWHT coefficient rows for the direct route,
+the component Walsh rows for the other two.  The PerUWitness objects are
+built from those columns on the first read of GbentReport.per_u, so a
+caller that only wants the verdict never pays for them.
 
 Beyond the verdicts, this module checks the affine (semi-)bent-space
 structure of the component family (dual-sum closure, majority-function
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,13 +81,20 @@ class PerUWitness:
 
 @dataclass(frozen=True)
 class GbentReport:
-    """Verdict of one gbent route with per-point witness data."""
+    """Verdict of one gbent route with per-point witness data.
+
+    witnesses holds the witness columns, entry u of each belonging to
+    point u: (r, sign) for even n, (r, sign, high) for odd n with high 1
+    where the high half of the component spectrum vanishes, and () when
+    the route fails.  per_u builds the PerUWitness tuple from them on first
+    read.
+    """
 
     verdict: bool
     method: str
     n: int
     k: int
-    per_u: tuple[PerUWitness, ...]
+    witnesses: tuple[tuple[int, ...], ...]
     failures: tuple[int, ...]
 
     def __post_init__(self):
@@ -92,6 +102,14 @@ class GbentReport:
             raise InternalInconsistency(
                 f"{self.method} report says verdict={self.verdict} "
                 f"with {len(self.failures)} failures")
+
+    @cached_property
+    def per_u(self) -> tuple[PerUWitness, ...]:
+        if not self.witnesses:
+            return ()
+        r, sign, *high = self.witnesses
+        halves = [("low", "high")[h] for h in high[0]] if high else [None] * len(r)
+        return tuple(PerUWitness(u, *w) for u, w in enumerate(zip(r, sign, halves)))
 
     def to_text(self) -> str:
         lines = [f"# method: {self.method}",
@@ -114,16 +132,14 @@ class GbentReport:
         }
 
 
-def _report(method, f, per_u, failures) -> GbentReport:
-    return GbentReport(not failures, method, f.n, f.k,
-                       tuple(per_u), tuple(failures))
+def _report(method, f, witnesses, failures) -> GbentReport:
+    return GbentReport(not failures, method, f.n, f.k, witnesses, tuple(failures))
 
 
-def _witnesses(r: np.ndarray, sign: np.ndarray, half=None) -> list[PerUWitness]:
-    """Per-u witnesses from (r, sign) arrays and, for odd n, half names."""
-    halves = [None] * len(r) if half is None else half.tolist()
-    return [PerUWitness(u, *w)
-            for u, w in enumerate(zip(r.tolist(), sign.tolist(), halves))]
+def _witnesses(r: np.ndarray, sign: np.ndarray, high=None) -> tuple[tuple[int, ...], ...]:
+    """Witness columns from (r, sign) arrays and, for odd n, the high-half mask."""
+    cols = (r, sign) if high is None else (r, sign, high)
+    return tuple(tuple(c.astype(np.int64).tolist()) for c in cols)
 
 
 def is_gbent_direct(f: GeneralizedBooleanFunction) -> GbentReport:
@@ -138,29 +154,30 @@ def is_gbent_direct(f: GeneralizedBooleanFunction) -> GbentReport:
     of cyclotomic integers of absolute value 2^{n/2} and raises
     InternalInconsistency.
     """
-    C = gwht(f).coeffs
-    failures = np.flatnonzero(~flat_mask(f.n, C)).tolist()
+    spec = gwht(f)
+    C = spec.coeffs
+    failures = np.flatnonzero(~flat_mask(f.n, spec.norm_squared_all())).tolist()
     if failures:
-        return _report("direct", f, [], failures)
+        return _report("direct", f, (), failures)
     nz = C != 0
     r = nz.argmax(axis=1)
     points = np.arange(1 << f.n)
     first = C[points, r]
     if f.n % 2 == 0:
         bad = (nz.sum(axis=1) != 1) | (np.abs(first) != 1 << (f.n // 2))
-        shape, half = "+-2^(n/2) zeta^r", None
+        shape, high = "+-2^(n/2) zeta^r", None
     else:
         half_mag = 1 << ((f.n - 1) // 2)
         quarter = C.shape[1] // 2
         second = C[points, (r + quarter) % C.shape[1]]
         bad = ((nz.sum(axis=1) != 2) | (r >= quarter)
                | (np.abs(first) != half_mag) | (np.abs(second) != half_mag))
-        shape, half = "sqrt(2) 2^((n-1)/2) zeta^j", np.where(second == first, "high", "low")
+        shape, high = "sqrt(2) 2^((n-1)/2) zeta^j", second == first
     if bad.any():
         raise InternalInconsistency(
             f"norm passed at u={int(np.flatnonzero(bad)[0])} but value is not {shape}")
     sign = np.where(first > 0, 1, -1)
-    return _report("direct", f, _witnesses(r, sign, half), failures)
+    return _report("direct", f, _witnesses(r, sign, high), failures)
 
 
 def _walsh_report(method: str, f: GeneralizedBooleanFunction, W: np.ndarray,
@@ -172,13 +189,13 @@ def _walsh_report(method: str, f: GeneralizedBooleanFunction, W: np.ndarray,
     on them.
     """
     if failures:
-        return _report(method, f, [], failures)
-    half = None
+        return _report(method, f, (), failures)
+    high = None
     if f.n % 2:
         low_zero, _, W = split_halves(W)
-        half = np.where(low_zero, "low", "high")
+        high = ~low_zero
     r, sign, _ = match_rows(W)
-    return _report(method, f, _witnesses(r, sign, half), failures)
+    return _report(method, f, _witnesses(r, sign, high), failures)
 
 
 def is_gbent_spectral(f: GeneralizedBooleanFunction) -> GbentReport:
@@ -359,7 +376,8 @@ class ZqBentReport:
 
     per_a[a-1] is the gbent verdict of (a f) mod 2^k for a = 1..2^k-1;
     per_t[t] is the gbent verdict of the truncation to GB_n^{2^{k-t}} for
-    t = 0..k-1.  The two routes are equivalent and are both computed.
+    t = 0..k-1.  The two routes are equivalent and are both computed; they
+    share their first entry, the verdict of f itself.
     """
 
     verdict: bool
@@ -377,7 +395,7 @@ def is_zq_bent(f: GeneralizedBooleanFunction) -> ZqBentReport:
     if f.n % 2:
         raise OddN("Z_q-bentness is defined here for even n only")
     per_a = tuple(gbent_verdict(f.scale(a)) for a in range(1, 1 << f.k))
-    per_t = tuple(gbent_verdict(f.truncate(t)) for t in range(f.k))
+    per_t = per_a[:1] + tuple(gbent_verdict(f.truncate(t)) for t in range(1, f.k))
     if all(per_a) != all(per_t):
         raise InternalInconsistency(
             f"multiple route says {all(per_a)}, truncation route says {all(per_t)}")

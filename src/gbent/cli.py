@@ -37,7 +37,6 @@ from .constructions import (
     regular_spread,
     spread_zqbent,
 )
-from .cyclotomic import norm_squared_coeffs
 from .duality import dual_gbent, gray_map
 from .errors import (
     FormatError,
@@ -113,7 +112,7 @@ def _cmd_wht(args) -> int:
 def _cmd_gwht(args) -> int:
     f = _read_gbf(args.file)
     spec = gwht(f)
-    norms = norm_squared_coeffs(spec.coeffs)
+    norms = spec.norm_squared_all()
     if args.json:
         return _json_out({"n": f.n, "k": f.k,
                           "coeffs": spec.coeffs.tolist(),

@@ -55,8 +55,9 @@ def dual_gbent(f: GeneralizedBooleanFunction) -> GeneralizedBooleanFunction:
     """
     if f.n % 2:
         raise OddN("no dual is constructed for odd n")
-    coeffs = gwht(f).coeffs
-    flat = flat_mask(f.n, coeffs)
+    spec = gwht(f)
+    coeffs = spec.coeffs
+    flat = flat_mask(f.n, spec.norm_squared_all())
     if not flat.all():
         raise NotGbent(f"dual requires a gbent function; fails at u in "
                        f"{np.flatnonzero(~flat)[:8].tolist()}")

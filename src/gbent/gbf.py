@@ -188,8 +188,10 @@ class GwhtSpectrum:
     """Exact GWHT values H_f(u) for all u, held as one coefficient matrix.
 
     coeffs has shape (2^n, 2^{k-1}); row u lists the power-basis coefficients
-    of H_f(u) in Z[zeta_{2^k}].  Construction checks the generalized Parseval
-    identity sum_u |H(u)|^2 = 2^{2n} exactly.
+    of H_f(u) in Z[zeta_{2^k}].  Construction computes the |H(u)|^2
+    coefficient matrix once, checks the generalized Parseval identity
+    sum_u |H(u)|^2 = 2^{2n} exactly on it, and keeps it read-only for
+    norm_squared_all; it takes no part in == or hash.
     """
 
     n: int
@@ -202,18 +204,21 @@ class GwhtSpectrum:
             raise ValueError(f"coefficient matrix must be 2^{self.n} x 2^{self.k - 1}")
         # safe in int64: per row |coefficient t of |H(u)|^2| <= coefficient 0,
         # and the coefficient-0 column sums to 2^{2n} <= 2^48
-        total = norm_squared_coeffs(arr).sum(axis=0)
+        norms = norm_squared_coeffs(arr)
+        total = norms.sum(axis=0)
         if int(total[0]) != 1 << (2 * self.n) or total[1:].any():
             raise ValueError("generalized Parseval check failed")
         arr.flags.writeable = False
+        norms.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "_norms", norms)
 
     def __getitem__(self, u: int) -> CyclotomicInt:
         return CyclotomicInt(self.k, tuple(int(c) for c in self.coeffs[u]))
 
     def norm_squared_all(self) -> np.ndarray:
-        """|H(u)|^2 coefficient matrix, shape (2^n, 2^{k-1})."""
-        return norm_squared_coeffs(self.coeffs)
+        """|H(u)|^2 coefficient matrix, shape (2^n, 2^{k-1}), read-only."""
+        return self._norms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GwhtSpectrum):
@@ -251,9 +256,12 @@ def gwht_coeffs(V: np.ndarray, k: int) -> np.ndarray:
     return Z
 
 
-def flat_mask(n: int, coeffs: np.ndarray) -> np.ndarray:
-    """|H(u)|^2 = 2^n exactly, over the leading axes of a coefficient array."""
-    norms = norm_squared_coeffs(coeffs)
+def flat_mask(n: int, norms: np.ndarray) -> np.ndarray:
+    """|H(u)|^2 = 2^n exactly, over the leading axes of a norm array.
+
+    norms holds |H(u)|^2 coefficient rows, as norm_squared_coeffs returns
+    them; the caller computes them once and may reuse them.
+    """
     return (norms[..., 0] == 1 << n) & (norms[..., 1:] == 0).all(axis=-1)
 
 

@@ -29,6 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .cyclotomic import norm_squared_coeffs
 from .errors import InternalInconsistency, SpaceTooLarge
 from .gbf import GeneralizedBooleanFunction, component_walsh, flat_mask, gwht_coeffs
 from .hadamard import match_rows, products_hold
@@ -38,7 +39,7 @@ SEARCH_BITS_CAP = 24
 
 def batch_direct_flat(n: int, k: int, V: np.ndarray) -> np.ndarray:
     """(F, 2^n) mask: |H_f(u)|^2 = 2^n exactly, for each function and u."""
-    return flat_mask(n, gwht_coeffs(V, k))
+    return flat_mask(n, norm_squared_coeffs(gwht_coeffs(V, k)))
 
 
 def batch_component_walsh(n: int, k: int, V: np.ndarray) -> np.ndarray:

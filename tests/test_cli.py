@@ -4,12 +4,16 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import gbent.analysis
+import gbent.cyclotomic
 from gbent.analysis import is_gbent
 from gbent.boolfn import BooleanFunction
 from gbent.cli import main
-from gbent.gbf import GeneralizedBooleanFunction
+from gbent.constructions import regular_spread, spread_zqbent
+from gbent.gbf import GeneralizedBooleanFunction, gwht
 
 SEED22 = "2 2\n0 1 0 3\n"
 SEED32 = "3 2\n0 0 0 2 1 1 1 3\n"
@@ -75,6 +79,61 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(out_path))
         assert code == 0
         assert out.strip() == "gbent, Z_8-bent: yes"
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    """Counts norm_squared_coeffs calls, at every binding, and PerUWitness builds."""
+    counts = {"norm": 0, "witness": 0}
+    norm, witness = gbent.cyclotomic.norm_squared_coeffs, gbent.analysis.PerUWitness
+
+    def counted_norm(C):
+        counts["norm"] += 1
+        return norm(C)
+
+    def counted_witness(*args):
+        counts["witness"] += 1
+        return witness(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "gbent" or name.startswith("gbent."):
+            for attr, value in list(vars(mod).items()):
+                if value is norm:
+                    monkeypatch.setattr(mod, attr, counted_norm)
+    monkeypatch.setattr(gbent.analysis, "PerUWitness", counted_witness)
+    return counts
+
+
+class TestWorkCounts:
+    def test_norm_calls_and_witness_builds(self, capsys, tmp_path, tally):
+        # n = 8, k = 4: each spectrum's norms are computed once and reused,
+        # and per-u witnesses are built only for a table that prints them
+        spread = spread_zqbent(regular_spread(4), 4, range(16))
+        good, bad = tmp_path / "good.gbf", tmp_path / "bad.gbf"
+        good.write_text(spread.to_text())
+        bad.write_text(GeneralizedBooleanFunction(8, 4, np.arange(256) % 16).to_text())
+
+        def counts(*argv):
+            tally.update(norm=0, witness=0)
+            code, out, _ = run(capsys, *argv)
+            return code, out, dict(tally)
+
+        # one norm for the direct route, 18 for the Z_16-bent verdicts
+        assert counts("check", str(good)) == (0, "gbent, Z_16-bent: yes\n",
+                                              {"norm": 19, "witness": 0})
+        assert counts("dual", str(good))[::2] == (0, {"norm": 2, "witness": 0})
+        assert counts("check", str(bad)) == (1, "not gbent\n", {"norm": 1, "witness": 0})
+
+        code, out, tallied = counts("check", str(good), "--verbose")
+        assert code == 0
+        # even n: H_f(u) = sign 2^(n/2) zeta^r has one nonzero coefficient
+        table = [f"{u} {int(np.flatnonzero(c)[0])} {int(np.sign(c.sum())):+d} -"
+                 for u, c in enumerate(gwht(spread).coeffs)]
+        lines = out.splitlines()
+        for method in ("direct", "spectral", "quadruple"):
+            start = lines.index(f"# method: {method}") + 3
+            assert lines[start:start + len(table)] == table
+        assert tallied["witness"] == 3 * len(table)
 
 
 class TestSpectra:

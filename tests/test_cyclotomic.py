@@ -112,13 +112,24 @@ class TestNormSquared:
         assert (I(3, 1) + Z(3, 1)).as_rational() is None
 
     def test_batch_matches_scalar(self, rng):
-        for k in (1, 2, 3, 4):
+        # leading shapes (), (F,) and (F, N); coefficients up to 2^24, the
+        # n <= 24 bound, so products reach 2^48; strided and moved-axis views
+        for k in range(1, 8):
             m = 1 << (k - 1)
-            C = rng.integers(-20, 20, size=(10, m)).astype(np.int64)
-            batch = norm_squared_coeffs(C)
-            for i in range(10):
-                scalar = norm_squared(CyclotomicInt(k, tuple(int(c) for c in C[i])))
-                assert tuple(int(c) for c in batch[i]) == scalar.coeffs
+            for lead in [(), (5,), (3, 4)]:
+                for bound in (20, 1 << 24):
+                    C = rng.integers(-bound, bound + 1, size=lead + (m,), dtype=np.int64)
+                    views = [C, np.moveaxis(np.ascontiguousarray(np.moveaxis(C, -1, 0)), 0, -1)]
+                    if lead:
+                        views.append(np.repeat(C, 2, axis=0)[::2])
+                    for V in views:
+                        before = V.copy()
+                        batch = norm_squared_coeffs(V)
+                        assert np.array_equal(V, before)
+                        assert batch.shape == V.shape
+                        for idx in np.ndindex(*lead):
+                            scalar = norm_squared(CyclotomicInt(k, tuple(int(c) for c in V[idx])))
+                            assert tuple(int(c) for c in batch[idx]) == scalar.coeffs
 
 
 class TestSqrt2Decompose:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gbent.boolfn import BooleanFunction, wht
-from gbent.cyclotomic import CyclotomicInt, norm_squared
+from gbent.cyclotomic import CyclotomicInt, norm_squared, norm_squared_coeffs
 from gbent.errors import FormatError, InvalidK, ShapeMismatch
 from gbent.gbf import (
     GeneralizedBooleanFunction,
@@ -111,6 +111,15 @@ class TestGwht:
             spec = gwht(f)
             for u in range(1 << n):
                 assert spec[u] == gwht_naive_at(f.values, n, k, u)
+
+    def test_norms_kept_read_only(self, rng):
+        for n, k in [(2, 1), (3, 3), (4, 4)]:
+            spec = gwht(random_gbf(rng, n, k))
+            norms = spec.norm_squared_all()
+            assert np.array_equal(norms, norm_squared_coeffs(spec.coeffs))
+            assert not norms.flags.writeable
+            with pytest.raises(ValueError):
+                norms[0, 0] = 0
 
     def test_k1_matches_wht(self, rng):
         g = random_boolfn(rng, 4)
