@@ -10,7 +10,6 @@ without floating point.
 from .analysis import (
     BentSpaceReport,
     GbentReport,
-    PerUWitness,
     ZqBentReport,
     bent_space_report,
     carlet_walsh_identity,
@@ -27,8 +26,6 @@ from .boolfn import (
     BooleanFunction,
     SpectralClass,
     WalshSpectrum,
-    anf,
-    anf_inverse,
     classify,
     dual,
     wht,
@@ -94,15 +91,12 @@ __all__ = [
     "LinearTransform",
     "NotBent",
     "NotGbent",
-    "PerUWitness",
     "SpectralClass",
     "Spread",
     "Sqrt2Decomposition",
     "SweepResult",
     "WalshSpectrum",
     "ZqBentReport",
-    "anf",
-    "anf_inverse",
     "apply_equivalence",
     "bent_space_report",
     "carlet_walsh_identity",

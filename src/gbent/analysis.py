@@ -15,9 +15,9 @@ single function and a sweep share one implementation.  The per-u
 witness columns of a passing report (the Hadamard row index r(u), the
 sign, and for odd n which half of the component spectrum vanishes) are
 read off the same arrays: the GWHT coefficient rows for the direct route,
-the component Walsh rows for the other two.  The PerUWitness objects are
-built from those columns on the first read of GbentReport.per_u, so a
-caller that only wants the verdict never pays for them.
+the component Walsh rows for the other two.  They are kept as columns of
+ints, and only the text and JSON forms of a report walk them point by
+point.
 
 Beyond the verdicts, this module checks the affine (semi-)bent-space
 structure of the component family (dual-sum closure, majority-function
@@ -31,18 +31,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .boolfn import BooleanFunction, WalshSpectrum, dual, wht
-from .errors import (
-    InternalInconsistency,
-    InvalidK,
-    NotZeroSum,
-    OddN,
-    TooLarge,
-)
+from .errors import GbentError, InternalInconsistency
 from .gbf import (
     GeneralizedBooleanFunction,
     component_walsh_matrix,
@@ -62,32 +55,14 @@ from .sweep import (
 
 
 @dataclass(frozen=True)
-class PerUWitness:
-    """Spectrum shape at one point: H_f(u) = sign * 2^{n/2} zeta^{...}.
-
-    For even n the witness is (r, sign) with r indexing H_{2^{k-1}}; half is
-    None.  For odd n, r indexes H_{2^{k-2}}, and half names the vanishing
-    half of the component-spectrum vector ("low" or "high").
-    """
-
-    u: int
-    r: int
-    sign: int
-    half: str | None = None
-
-    def line(self) -> str:
-        return f"{self.u} {self.r} {self.sign:+d} {self.half or '-'}"
-
-
-@dataclass(frozen=True)
 class GbentReport:
     """Verdict of one gbent route with per-point witness data.
 
     witnesses holds the witness columns, entry u of each belonging to
     point u: (r, sign) for even n, (r, sign, high) for odd n with high 1
     where the high half of the component spectrum vanishes, and () when
-    the route fails.  per_u builds the PerUWitness tuple from them on first
-    read.
+    the route fails.  At point u, H_f(u) = sign * 2^{n/2} zeta^{...} with
+    r indexing a row of H_{2^{k-1}} (even n) or H_{2^{k-2}} (odd n).
     """
 
     verdict: bool
@@ -103,13 +78,13 @@ class GbentReport:
                 f"{self.method} report says verdict={self.verdict} "
                 f"with {len(self.failures)} failures")
 
-    @cached_property
-    def per_u(self) -> tuple[PerUWitness, ...]:
+    def _points(self):
+        """(u, r, sign, half) per point; half is "low"/"high" for odd n, else None."""
         if not self.witnesses:
             return ()
         r, sign, *high = self.witnesses
         halves = [("low", "high")[h] for h in high[0]] if high else [None] * len(r)
-        return tuple(PerUWitness(u, *w) for u, w in enumerate(zip(r, sign, halves)))
+        return zip(itertools.count(), r, sign, halves)
 
     def to_text(self) -> str:
         lines = [f"# method: {self.method}",
@@ -117,7 +92,8 @@ class GbentReport:
         if self.failures:
             lines.append(f"# failures: {' '.join(str(u) for u in self.failures)}")
         lines.append("# u r sign half")
-        lines.extend(w.line() for w in self.per_u)
+        lines.extend(f"{u} {r} {sign:+d} {half or '-'}"
+                     for u, r, sign, half in self._points())
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -126,8 +102,8 @@ class GbentReport:
             "method": self.method,
             "n": self.n,
             "k": self.k,
-            "per_u": [{"u": w.u, "r": w.r, "sign": w.sign, "half": w.half}
-                      for w in self.per_u],
+            "per_u": [{"u": u, "r": r, "sign": sign, "half": half}
+                      for u, r, sign, half in self._points()],
             "failures": list(self.failures),
         }
 
@@ -222,7 +198,7 @@ def is_gbent_quadruple(f: GeneralizedBooleanFunction) -> GbentReport:
     where it is; otherwise they are the points where the relations fail.
     """
     if f.k < 2:
-        raise InvalidK(f"quadruple route needs k >= 2, got k={f.k}")
+        raise GbentError(f"quadruple route needs k >= 2, got k={f.k}")
     W = batch_component_walsh(f.n, f.k, f.values[None])
     magnitudes, relations = quadruple_masks(f.n, W)
     bad = ~magnitudes[0].all(axis=1) if not magnitudes.all() else ~relations[0]
@@ -315,7 +291,7 @@ class BentSpaceReport:
 def bent_space_report(f: GeneralizedBooleanFunction) -> BentSpaceReport:
     """Check the component family against the affine-space characterizations."""
     if f.k < 2:
-        raise InvalidK(f"bent space structure needs k >= 2, got k={f.k}")
+        raise GbentError(f"bent space structure needs k >= 2, got k={f.k}")
     fam = list(components(f))
     m = len(fam)
     even = f.n % 2 == 0
@@ -360,7 +336,7 @@ def carlet_walsh_identity(g0: BooleanFunction, g1: BooleanFunction,
     transform is (W_{g0} + W_{g1} + W_{g2} - W_{g3}) / 2 pointwise.
     """
     if (g0 ^ g1 ^ g2 ^ g3).weight() != 0:
-        raise NotZeroSum("the four functions must XOR to zero")
+        raise GbentError("the four functions must XOR to zero")
     total = (wht(g0).values + wht(g1).values + wht(g2).values - wht(g3).values)
     if (total & 1).any():
         raise InternalInconsistency("majority Walsh identity sum is odd")
@@ -393,7 +369,7 @@ def is_zq_bent(f: GeneralizedBooleanFunction) -> ZqBentReport:
     in GB_n^{2^{k-t}}.  Disagreement raises InternalInconsistency.
     """
     if f.n % 2:
-        raise OddN("Z_q-bentness is defined here for even n only")
+        raise GbentError("Z_q-bentness is defined here for even n only")
     per_a = tuple(gbent_verdict(f.scale(a)) for a in range(1, 1 << f.k))
     per_t = per_a[:1] + tuple(gbent_verdict(f.truncate(t)) for t in range(1, f.k))
     if all(per_a) != all(per_t):
@@ -424,10 +400,10 @@ def verify_rds(f: GeneralizedBooleanFunction) -> bool:
     differences with vanishing V_n part never occur off the diagonal.
     """
     if f.n % 2:
-        raise OddN("relative difference set check is defined for even n")
+        raise GbentError("relative difference set check is defined for even n")
     size = 1 << f.n
     if size > 1 << 16:
-        raise TooLarge(f"2^n = {size} exceeds the counting cap 2^16")
+        raise GbentError(f"2^n = {size} exceeds the counting cap 2^16")
     q = 1 << f.k
     lam, rem = divmod(size, q)
     if rem:

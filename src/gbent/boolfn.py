@@ -48,17 +48,6 @@ def fwht_(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return a
 
 
-def _mobius_(a: np.ndarray) -> np.ndarray:
-    # XOR butterfly: binary Mobius transform over the subset lattice, an involution
-    n = a.shape[-1]
-    h = 1
-    while h < n:
-        b = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        b[..., 1, :] ^= b[..., 0, :]
-        h *= 2
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class BooleanFunction:
     """Truth table of a map V_n -> F_2, the atom of all spectral analysis.
@@ -286,19 +275,3 @@ def dual(f: BooleanFunction) -> BooleanFunction:
         raise NotBent(f"function is not bent (n={f.n})")
     return BooleanFunction(f.n, (spec.values < 0).astype(np.uint8))
 
-
-def anf(f: BooleanFunction) -> np.ndarray:
-    """Algebraic normal form coefficients via the binary Mobius transform.
-
-    Entry m of the result is the coefficient of the monomial
-    prod_{i: bit i of m set} x_i.
-    """
-    return _mobius_(f.table.copy())
-
-
-def anf_inverse(coeffs, n: int | None = None) -> BooleanFunction:
-    """Truth table of the function with the given ANF coefficients."""
-    arr = np.asarray(coeffs, dtype=np.uint8).copy()
-    if n is None:
-        n = int(arr.size).bit_length() - 1
-    return BooleanFunction(n, _mobius_(arr))

@@ -79,7 +79,10 @@ def _read_matrix(path: str) -> np.ndarray:
         rows.append([int(t) for t in ln.split()])
     if not rows or len(set(map(len, rows))) != 1:
         raise FormatError(f"{path}: matrix rows missing or of unequal length")
-    return np.array(rows, dtype=np.int64)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError as e:
+        raise FormatError(f"{path}: matrix entries must fit in int64") from e
 
 
 def _ints(text: str) -> list[int]:
@@ -401,9 +404,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (NotGbent, NotBent) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -24,18 +24,11 @@ import numpy as np
 from .analysis import gbent_verdict, is_zq_bent
 from .boolfn import BooleanFunction, classify, dual, wht
 from .errors import (
-    BadM,
     DualSumNonzero,
+    GbentError,
     InternalInconsistency,
-    KTooLarge,
-    L1NotInvariant,
-    NotBalanced,
     NotBent,
     NotGbent,
-    NotPermutation,
-    RLessThanK,
-    ShapeMismatch,
-    SingularMatrix,
 )
 from .gbf import GeneralizedBooleanFunction, coordinates
 from .gf2m import Field, inverse_exponent
@@ -129,13 +122,15 @@ def spread_zqbent(spread: Spread, k: int,
     """
     m = spread.m
     if k > m:
-        raise KTooLarge(f"k = {k} exceeds the spread parameter m = {m}")
+        raise GbentError(f"k = {k} exceeds the spread parameter m = {m}")
     phi = list(phi)
     if len(phi) != 1 << m:
-        raise NotBalanced(f"phi must have 2^m = {1 << m} entries")
+        raise GbentError(f"phi must have 2^m = {1 << m} entries")
+    if not all(0 <= v < 1 << k for v in phi):
+        raise GbentError(f"phi values must lie in [0, {1 << k})")
     counts = np.bincount(np.asarray(phi), minlength=1 << k)
-    if len(counts) != 1 << k or not (counts == 1 << (m - k)).all():
-        raise NotBalanced("phi must take each value exactly 2^{m-k} times")
+    if not (counts == 1 << (m - k)).all():
+        raise GbentError("phi must take each value exactly 2^{m-k} times")
     values = np.zeros(1 << spread.n, dtype=np.int64)
     for s, pts in enumerate(spread.subspaces[1:], start=1):
         for x in pts:
@@ -160,7 +155,7 @@ def mm_bent(m: int, pi) -> BooleanFunction:
         raise ValueError(f"supported for 1 <= m <= 8, got {m}")
     pi = list(pi)
     if sorted(pi) != list(range(1 << m)):
-        raise NotPermutation("pi must be a permutation of GF(2^m)")
+        raise GbentError("pi must be a permutation of GF(2^m)")
     mul, tr = _field_ops(m)
     size = 1 << m
     table = np.zeros(size * size, dtype=np.uint8)
@@ -184,9 +179,10 @@ def example1(m: int, c: int = 1) -> GeneralizedBooleanFunction:
     independently of the divisibility conditions on m.
     """
     if m % 4 != 0 or m % 5 == 0:
-        raise BadM(f"need 4 | m and 5 not | m, got m = {m}")
-    if c == 0:
-        raise ValueError("c must be a nonzero field element")
+        raise GbentError(f"need 4 | m and 5 not | m, got m = {m}")
+    if c < 1 or c.bit_length() > m:
+        # c in [1, 2^m); Field.mul assumes bitmasks and loops forever on c < 0
+        raise GbentError("c must be a nonzero field element")
     d = inverse_exponent(11, m)
     fld = Field(m)
     b = fld.find_root(0b10011)
@@ -260,11 +256,11 @@ def _f2_rank(mat: np.ndarray) -> int:
 def _validate_bit_matrix(mat: np.ndarray, size: int, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.uint8)
     if mat.shape != (size, size):
-        raise ShapeMismatch(f"{name} must be {size}x{size}, got {mat.shape}")
+        raise GbentError(f"{name} must be {size}x{size}, got {mat.shape}")
     if not np.isin(mat, (0, 1)).all():
         raise ValueError(f"{name} entries must be bits")
     if size and _f2_rank(mat) != size:
-        raise SingularMatrix(f"{name} is singular over F_2")
+        raise GbentError(f"{name} is singular over F_2")
     return mat
 
 
@@ -344,11 +340,11 @@ def apply_equivalence(f: GeneralizedBooleanFunction, t: LinearTransform,
     representation: when its mask is supplied, B c = c is required.
     """
     if len(t.A) != f.n:
-        raise ShapeMismatch(f"A is {len(t.A)}x{len(t.A)}, function has n={f.n}")
+        raise GbentError(f"A is {len(t.A)}x{len(t.A)}, function has n={f.n}")
     if len(t.B) != f.k - 1:
-        raise ShapeMismatch(f"B is {len(t.B)}x{len(t.B)}, function has k={f.k}")
+        raise GbentError(f"B is {len(t.B)}x{len(t.B)}, function has k={f.k}")
     if f.n % 2 and l1_mask is not None and not _fixes_mask(t.B, l1_mask):
-        raise L1NotInvariant(
+        raise GbentError(
             f"B does not fix the splitting subspace mask {l1_mask}")
     coords = coordinates(f)
     tables = np.stack([g.table for g in coords])
@@ -371,7 +367,7 @@ def lift(f: GeneralizedBooleanFunction, r: int) -> GeneralizedBooleanFunction:
     gbent before returning.
     """
     if r < f.k:
-        raise RLessThanK(f"need r >= k, got r = {r} < k = {f.k}")
+        raise GbentError(f"need r >= k, got r = {r} < k = {f.k}")
     if not gbent_verdict(f):
         raise NotGbent("only gbent functions are lifted")
     if r == f.k:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistency, InvalidK
+from .errors import GbentError, InternalInconsistency
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
@@ -39,7 +39,7 @@ class CyclotomicInt:
 
     def __post_init__(self):
         if self.k < 1:
-            raise InvalidK(f"k must be >= 1, got {self.k}")
+            raise GbentError(f"k must be >= 1, got {self.k}")
         if len(self.coeffs) != 1 << (self.k - 1):
             raise ValueError(f"need exactly {1 << (self.k - 1)} coefficients")
         object.__setattr__(self, "coeffs", _checked(tuple(int(c) for c in self.coeffs)))
@@ -191,7 +191,7 @@ def sqrt2_decompose(k: int, j: int) -> Sqrt2Decomposition:
     exponent back into [0, 2^{k-1}) with a sign flip when needed.
     """
     if k < 3:
-        raise InvalidK(f"sqrt(2) decomposition needs k >= 3, got {k}")
+        raise GbentError(f"sqrt(2) decomposition needs k >= 3, got {k}")
     m = 1 << (k - 1)
     if not 0 <= j < m:
         raise ValueError(f"j must be in [0, {m}), got {j}")

@@ -26,13 +26,7 @@ import numpy as np
 
 from .analysis import gbent_verdict, is_gbent_direct
 from .boolfn import BooleanFunction, SpectralClass, classify, dual, wht
-from .errors import (
-    IndexOutOfRange,
-    InternalInconsistency,
-    InvalidK,
-    NotGbent,
-    OddN,
-)
+from .errors import GbentError, IndexOutOfRange, InternalInconsistency, NotGbent
 from .gbf import (
     GeneralizedBooleanFunction,
     assemble,
@@ -54,7 +48,7 @@ def dual_gbent(f: GeneralizedBooleanFunction) -> GeneralizedBooleanFunction:
     zeta^{f*(u)} at every u and that f* is itself gbent.
     """
     if f.n % 2:
-        raise OddN("no dual is constructed for odd n")
+        raise GbentError("no dual is constructed for odd n")
     spec = gwht(f)
     coeffs = spec.coeffs
     flat = flat_mask(f.n, spec.norm_squared_all())
@@ -71,10 +65,11 @@ def dual_gbent(f: GeneralizedBooleanFunction) -> GeneralizedBooleanFunction:
     if wrong.any():
         # the witness of H_f(u) names the value the dual should have taken;
         # is_gbent_direct raises first if H_f(u) is not +-2^(n/2) zeta^r at all
-        wit = is_gbent_direct(f).per_u[int(np.flatnonzero(wrong)[0])]
+        u = int(np.flatnonzero(wrong)[0])
+        r, sign = (column[u] for column in is_gbent_direct(f).witnesses)
         raise InternalInconsistency(
-            f"dual value at u={wit.u} is {int(fdual.values[wit.u])}, "
-            f"but H_f(u) = {wit.sign:+d} 2^(n/2) zeta^{wit.r}")
+            f"dual value at u={u} is {int(fdual.values[u])}, "
+            f"but H_f(u) = {sign:+d} 2^(n/2) zeta^{r}")
     if not gbent_verdict(fdual):
         raise InternalInconsistency("constructed dual is not gbent")
     return fdual
@@ -100,7 +95,7 @@ class GrayImage:
 def gray_map(f: GeneralizedBooleanFunction) -> GrayImage:
     """Generalized Gray map psi(f)(x, y) = sum a_i(x) y_i + a_{k-1}(x)."""
     if f.k < 2:
-        raise InvalidK(f"the Gray map needs k >= 2, got k={f.k}")
+        raise GbentError(f"the Gray map needs k >= 2, got k={f.k}")
     table = np.concatenate([g.table for g in components(f)])
     return GrayImage(f.n, f.k, BooleanFunction(f.n + f.k - 1, table))
 
@@ -113,7 +108,7 @@ def gray_walsh_identity(f: GeneralizedBooleanFunction, u: int, z_r: int) -> int:
     transform of gray_map(f) at index u + 2^n z_r for arbitrary f.
     """
     if f.k < 2:
-        raise InvalidK(f"the Gray identity needs k >= 2, got k={f.k}")
+        raise GbentError(f"the Gray identity needs k >= 2, got k={f.k}")
     if not 0 <= u < 1 << f.n:
         raise IndexOutOfRange(f"u={u} outside [0, 2^n)")
     W = component_walsh_matrix(f)

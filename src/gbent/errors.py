@@ -1,14 +1,18 @@
 """Exception hierarchy for the gbent package.
 
-Every precondition violation raises a named subclass of GbentError so that
-callers (and the CLI) can tell bad input apart from internal contract
-failures.  A few classes double as the matching builtin (IndexError,
-ZeroDivisionError) so generic handlers keep working.
+One class per CLI outcome.  Every precondition violation raises GbentError
+(exit 2) with a message naming the check that failed; FormatError marks
+malformed input text.  NotBent and NotGbent are negative verdicts (exit 1)
+and InternalInconsistency is a broken contract between routes (exit 3).
+IndexOutOfRange and DivisionByZero double as the matching builtin
+(IndexError, ZeroDivisionError) so generic handlers keep working, and
+DualSumNonzero names the failed condition of the secondary bent
+construction.
 """
 
 
 class GbentError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; bad input."""
 
 
 class FormatError(GbentError):
@@ -23,56 +27,8 @@ class NotGbent(GbentError):
     """A generalized Boolean function required to be gbent is not."""
 
 
-class NotZeroSum(GbentError):
-    """Four functions required to XOR to zero do not."""
-
-
-class OddN(GbentError):
-    """Operation defined only for even n was called with odd n."""
-
-
-class InvalidK(GbentError):
-    """k is outside the range the operation is defined for."""
-
-
-class KTooLarge(GbentError):
-    """k exceeds what the construction supports."""
-
-
-class TooLarge(GbentError):
-    """Instance exceeds the stated size cap for this operation."""
-
-
-class SpaceTooLarge(GbentError):
-    """Search space exceeds the enumeration cap."""
-
-
 class IndexOutOfRange(GbentError, IndexError):
     """Row or element index outside the valid range."""
-
-
-class ShapeMismatch(GbentError):
-    """Pieces being assembled disagree in count or size."""
-
-
-class NotPermutation(GbentError):
-    """Mapping required to be a permutation is not a bijection."""
-
-
-class BadM(GbentError):
-    """Field degree m violates a construction's divisibility constraints."""
-
-
-class NoRoot(GbentError):
-    """No root of the required polynomial exists in the field."""
-
-
-class NotBalanced(GbentError):
-    """A value assignment required to be balanced is not."""
-
-
-class NotCoprime(GbentError):
-    """Exponent has no inverse modulo the group order."""
 
 
 class DivisionByZero(GbentError, ZeroDivisionError):
@@ -81,18 +37,6 @@ class DivisionByZero(GbentError, ZeroDivisionError):
 
 class DualSumNonzero(GbentError):
     """Dual-sum condition of the secondary bent construction fails."""
-
-
-class SingularMatrix(GbentError):
-    """Binary matrix required to be invertible over F_2 is singular."""
-
-
-class L1NotInvariant(GbentError):
-    """Component-index transform does not preserve the marked subspace."""
-
-
-class RLessThanK(GbentError):
-    """Lift target modulus 2^r must have r >= k."""
 
 
 class InternalInconsistency(GbentError):

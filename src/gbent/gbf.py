@@ -31,7 +31,7 @@ import numpy as np
 
 from .boolfn import MAX_N, BooleanFunction, fwht_
 from .cyclotomic import CyclotomicInt, norm_squared_coeffs
-from .errors import FormatError, InternalInconsistency, InvalidK, ShapeMismatch
+from .errors import FormatError, GbentError, InternalInconsistency
 
 MAX_K = 12
 
@@ -46,7 +46,7 @@ class GeneralizedBooleanFunction:
 
     def __post_init__(self):
         if not isinstance(self.k, int) or not 1 <= self.k <= MAX_K:
-            raise InvalidK(f"k must be an integer in [1, {MAX_K}], got {self.k!r}")
+            raise GbentError(f"k must be an integer in [1, {MAX_K}], got {self.k!r}")
         if not isinstance(self.n, int) or not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must be an integer in [1, {MAX_N}], got {self.n!r}")
         vals = np.ascontiguousarray(self.values, dtype=np.int64)
@@ -116,6 +116,8 @@ class GeneralizedBooleanFunction:
             vals = np.array([int(t) for t in tokens], dtype=np.int64)
         except ValueError as e:
             raise FormatError("values must be integers") from e
+        except OverflowError as e:      # a value beyond int64
+            raise FormatError(f"values must lie in [0, {1 << k})") from e
         if vals.min() < 0 or vals.max() >= (1 << k):
             raise FormatError(f"values must lie in [0, {1 << k})")
         return cls(n, k, vals)
@@ -130,10 +132,10 @@ def assemble(coords) -> GeneralizedBooleanFunction:
     """Inverse of coordinates: f = sum_j 2^j a_j."""
     coords = list(coords)
     if not coords:
-        raise ShapeMismatch("need at least one coordinate function")
+        raise GbentError("need at least one coordinate function")
     n = coords[0].n
     if any(not isinstance(a, BooleanFunction) or a.n != n for a in coords):
-        raise ShapeMismatch("coordinates must be BooleanFunctions on a common n")
+        raise GbentError("coordinates must be BooleanFunctions on a common n")
     vals = np.zeros(1 << n, dtype=np.int64)
     for j, a in enumerate(coords):
         vals |= a.table.astype(np.int64) << j
@@ -167,7 +169,7 @@ def component_walsh(V: np.ndarray, k: int) -> np.ndarray:
 
 def _component_k(f: GeneralizedBooleanFunction) -> int:
     if f.k < 2:
-        raise InvalidK(f"component functions need k >= 2, got k={f.k}")
+        raise GbentError(f"component functions need k >= 2, got k={f.k}")
     return f.k
 
 

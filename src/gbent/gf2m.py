@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import DivisionByZero, InternalInconsistency, NoRoot, NotCoprime
+from .errors import DivisionByZero, GbentError, InternalInconsistency
 
 
 def _pmul(a: int, b: int) -> int:
@@ -53,7 +53,7 @@ def default_modulus(m: int) -> int:
     for p in range((1 << m) + 1, 1 << (m + 1), 2):
         if _is_irreducible(p):
             return p
-    raise NoRoot(f"no irreducible polynomial of degree {m}")  # unreachable
+    raise GbentError(f"no irreducible polynomial of degree {m}")  # unreachable
 
 
 @dataclass(frozen=True)
@@ -125,14 +125,14 @@ class Field:
         for e in range(self.order):
             if self.poly_eval(poly, e) == 0:
                 return e
-        raise NoRoot(f"{poly:#b} has no root in GF(2^{self.m})")
+        raise GbentError(f"{poly:#b} has no root in GF(2^{self.m})")
 
 
 def inverse_exponent(e: int, m: int) -> int:
     """d with e d = 1 (mod 2^m - 1), for exponents coprime to the order."""
     order = (1 << m) - 1
     if gcd(e, order) != 1:
-        raise NotCoprime(f"gcd({e}, {order}) = {gcd(e, order)} != 1")
+        raise GbentError(f"gcd({e}, {order}) = {gcd(e, order)} != 1")
     d = pow(e, -1, order)
     if (e * d) % order != 1 or not 1 <= d < order:
         raise InternalInconsistency(f"{d} does not invert {e} modulo {order}")

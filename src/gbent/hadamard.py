@@ -18,13 +18,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidK
+from .errors import GbentError, IndexOutOfRange
+
+# 5,559,680 quadruples, about 0.9 GB: the largest index set enumerated
+QUADRUPLE_SIZE_CAP = 1 << 9
 
 
 def row(k: int, r: int) -> np.ndarray:
     """Row r of H_{2^k} as a +-1 vector of length 2^k."""
     if k < 0:
-        raise InvalidK(f"k must be >= 0, got {k}")
+        raise GbentError(f"k must be >= 0, got {k}")
     if not 0 <= r < (1 << k):
         raise IndexOutOfRange(f"row index {r} outside [0, {1 << k})")
     j = np.arange(1 << k, dtype=np.uint32)
@@ -79,10 +82,18 @@ def zero_sum_quadruples(size: int) -> tuple[tuple[int, int, int, int], ...]:
     """All index sets {j < c < l < v} in [0, size) with j^c^l^v = 0.
 
     Each 2-flat appears exactly once: taking (j, c, l) as the three smallest
-    members forces v = j^c^l to be the largest.
+    members forces v = j^c^l to be the largest.  There are
+    size (size-1) (size-2) / 24 of them, about 165 bytes each as tuples, so
+    sizes above QUADRUPLE_SIZE_CAP (k > 10 for the component spectra) fail
+    fast instead of exhausting memory.
     """
     if size <= 0 or size & (size - 1):
         raise ValueError(f"size {size} is not a power of two")
+    if size > QUADRUPLE_SIZE_CAP:
+        count = size * (size - 1) * (size - 2) // 24
+        raise GbentError(
+            f"{count} zero-sum quadruples of {size} indices would need about "
+            f"{count * 165 / 2**30:.0f} GiB; the cap is {QUADRUPLE_SIZE_CAP} indices")
     quads = []
     for j in range(size):
         for c in range(j + 1, size):

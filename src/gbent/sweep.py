@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .cyclotomic import norm_squared_coeffs
-from .errors import InternalInconsistency, SpaceTooLarge
+from .errors import GbentError, InternalInconsistency
 from .gbf import GeneralizedBooleanFunction, component_walsh, flat_mask, gwht_coeffs
 from .hadamard import match_rows, products_hold
 
@@ -144,7 +144,7 @@ def exhaustive_values(n: int, k: int, chunk: int = 1 << 12) -> Iterator[np.ndarr
     N = 1 << n
     bits = k * N
     if bits > SEARCH_BITS_CAP:
-        raise SpaceTooLarge(
+        raise GbentError(
             f"|GB_{n}^{1 << k}| = 2^{bits} exceeds the enumeration cap 2^{SEARCH_BITS_CAP}")
     total = 1 << bits
     mask = (1 << k) - 1

@@ -11,7 +11,6 @@ import pytest
 from gbent.analysis import (
     BentSpaceReport,
     GbentReport,
-    PerUWitness,
     bent_space_report,
     carlet_walsh_identity,
     coordinates_span_bent,
@@ -28,7 +27,7 @@ from gbent.cyclotomic import CyclotomicInt
 
 zeta_pow = CyclotomicInt.zeta_pow
 from gbent.constructions import lift, regular_spread, spread_zqbent
-from gbent.errors import InternalInconsistency, InvalidK, NotZeroSum, OddN, TooLarge
+from gbent.errors import GbentError, InternalInconsistency
 from gbent.gbf import GeneralizedBooleanFunction, gwht
 
 IP4 = [(x & 1) * ((x >> 2) & 1) ^ ((x >> 1) & 1) * ((x >> 3) & 1)
@@ -57,15 +56,15 @@ def random_gbf(rng, n, k):
     return GeneralizedBooleanFunction(n, k, rng.integers(0, 1 << k, size=1 << n))
 
 
-def witness_value(wit, n, k):
-    """Reconstruct H_f(u) from a per-u witness."""
+def witness_value(n, k, r, sign, high=None):
+    """Reconstruct H_f(u) from the witness columns at one point."""
     if n % 2 == 0:
-        return wit.sign * (1 << (n // 2)) * zeta_pow(k, wit.r)
+        return sign * (1 << (n // 2)) * zeta_pow(k, r)
     quarter = 1 << (k - 2)
-    second = zeta_pow(k, wit.r + quarter)
-    if wit.half == "low":
+    second = zeta_pow(k, r + quarter)
+    if not high:
         second = -second
-    return wit.sign * (1 << ((n - 1) // 2)) * (zeta_pow(k, wit.r) + second)
+    return sign * (1 << ((n - 1) // 2)) * (zeta_pow(k, r) + second)
 
 
 class TestKnownVerdicts:
@@ -117,7 +116,7 @@ class TestKnownVerdicts:
 
     def test_quadruple_route_rejects_k1(self):
         f = GeneralizedBooleanFunction(2, 1, [0, 0, 0, 1])
-        with pytest.raises(InvalidK):
+        with pytest.raises(GbentError, match=r"quadruple route needs k >= 2"):
             is_gbent_quadruple(f)
 
     def test_n1_k2_gbent(self):
@@ -134,7 +133,7 @@ class TestRouteAgreement:
             assert d.failures == s.failures
             if d.verdict:
                 count += 1
-                assert d.per_u == s.per_u == q.per_u
+                assert d.witnesses == s.witnesses == q.witnesses
         assert count == 64
 
     def test_exhaustive_n1_k2(self):
@@ -145,7 +144,7 @@ class TestRouteAgreement:
             assert d.failures == s.failures
             if d.verdict:
                 count += 1
-                assert d.per_u == s.per_u == q.per_u
+                assert d.witnesses == s.witnesses == q.witnesses
         # gbent iff the two values differ by an odd residue
         assert count == 8
 
@@ -157,7 +156,7 @@ class TestRouteAgreement:
             assert d.verdict == s.verdict == q.verdict
             assert d.failures == s.failures
             if d.verdict:
-                assert d.per_u == s.per_u == q.per_u
+                assert d.witnesses == s.witnesses == q.witnesses
 
     def test_consensus_matches_direct(self, rng):
         for _ in range(30):
@@ -176,32 +175,34 @@ class TestWitnesses:
         spec = gwht(f)
         for rep in gbent_reports(f):
             assert rep.verdict, rep.method
-            assert [wit.u for wit in rep.per_u] == list(range(1 << f.n))
-            for wit in rep.per_u:
-                assert witness_value(wit, f.n, f.k) == spec[wit.u]
+            assert [len(col) for col in rep.witnesses] == [1 << f.n] * (2 + f.n % 2)
+            for u, point in enumerate(zip(*rep.witnesses)):
+                assert witness_value(f.n, f.k, *point) == spec[u]
 
     def test_witness_reconstruction_exhaustive(self):
         for f in all_gbfs(2, 2):
             rep = is_gbent_direct(f)
             if rep.verdict:
                 spec = gwht(f)
-                for wit in rep.per_u:
-                    assert witness_value(wit, f.n, f.k) == spec[wit.u]
+                for u, point in enumerate(zip(*rep.witnesses)):
+                    assert witness_value(f.n, f.k, *point) == spec[u]
 
     def test_odd_witness_halves(self):
         rep = is_gbent_direct(SEED32)
         # W(u) = (+-4, 0) for u2 = 0 (high half vanishes), (0, +-4) for u2 = 1
-        for wit in rep.per_u:
-            assert wit.half == ("high" if wit.u < 4 else "low")
+        _, _, high = rep.witnesses
+        assert high == (1, 1, 1, 1, 0, 0, 0, 0)
 
     def test_even_witness_half_is_none(self):
         rep = is_gbent_direct(SEED22)
-        assert all(wit.half is None for wit in rep.per_u)
-        assert all(0 <= wit.r < 2 for wit in rep.per_u)
+        assert len(rep.witnesses) == 2
+        r, sign = rep.witnesses
+        assert all(0 <= x < 2 for x in r)
+        assert set(sign) <= {-1, 1}
 
     def test_no_witnesses_on_failure(self):
         for rep in gbent_reports(BENT_NOT_GBENT):
-            assert rep.per_u == ()
+            assert rep.witnesses == ()
 
 
 class TestReportFormat:
@@ -321,7 +322,7 @@ class TestBentSpace:
 
     def test_rejects_k1(self):
         f = GeneralizedBooleanFunction(2, 1, [0, 0, 0, 1])
-        with pytest.raises(InvalidK):
+        with pytest.raises(GbentError, match=r"bent space structure needs k >= 2"):
             bent_space_report(f)
 
 
@@ -342,7 +343,7 @@ class TestCarletIdentity:
         g0 = BooleanFunction.constant(2)
         g1 = BooleanFunction.linear(2, 1)
         g2 = BooleanFunction.linear(2, 2)
-        with pytest.raises(NotZeroSum):
+        with pytest.raises(GbentError, match=r"must XOR to zero"):
             carlet_walsh_identity(g0, g1, g2, g0)
 
 
@@ -362,7 +363,7 @@ class TestZqBent:
         assert not rep.per_t[1]  # truncation to k = 1 is the coordinate a_0
 
     def test_rejects_odd_n(self):
-        with pytest.raises(OddN):
+        with pytest.raises(GbentError, match=r"Z_q-bentness is defined here for even n only"):
             is_zq_bent(SEED32)
 
     def test_routes_agree_exhaustive(self):
@@ -389,12 +390,12 @@ class TestVerifyRds:
             assert verify_rds(f) == is_zq_bent(f).verdict
 
     def test_rejects_odd_n(self):
-        with pytest.raises(OddN):
+        with pytest.raises(GbentError, match=r"relative difference set check is defined for even n"):
             verify_rds(SEED32)
 
     def test_rejects_large_n(self):
         f = GeneralizedBooleanFunction(18, 1, np.zeros(1 << 18, dtype=np.int64))
-        with pytest.raises(TooLarge):
+        with pytest.raises(GbentError, match=r"exceeds the counting cap"):
             verify_rds(f)
 
     def test_k_larger_than_n(self):

@@ -7,8 +7,6 @@ from gbent.boolfn import (
     BooleanFunction,
     SpectralClass,
     WalshSpectrum,
-    anf,
-    anf_inverse,
     classify,
     dual,
     fwht_,
@@ -84,7 +82,7 @@ class TestClassify:
         assert classify(wht(BooleanFunction.linear(3, 5, const=1))) == SpectralClass("Plateaued", 3)
 
     def test_semibent(self):
-        f = anf_inverse([0, 0, 0, 1, 1, 0, 0, 0], 3)  # x0 x1 + x2
+        f = bf(3, [0, 0, 0, 1, 1, 1, 1, 0])  # x0 x1 + x2
         assert classify(wht(f)) == SpectralClass("SemiBent", 1)
 
     def test_plateaued_middle(self):
@@ -92,7 +90,7 @@ class TestClassify:
         assert classify(wht(f)) == SpectralClass("Plateaued", 2)
 
     def test_general(self):
-        f = anf_inverse([0, 0, 0, 0, 0, 0, 0, 1], 3)  # x0 x1 x2, W(0) = 6
+        f = bf(3, [0, 0, 0, 0, 0, 0, 0, 1])  # x0 x1 x2, W(0) = 6
         assert classify(wht(f)).kind == "General"
 
     def test_parity_invariant(self, rng):
@@ -146,23 +144,6 @@ class TestDual:
             dual(BooleanFunction.constant(2))
         with pytest.raises(NotBent):
             dual(bf(3, [0, 0, 0, 1, 1, 0, 0, 0]))  # semi-bent, odd n
-
-
-class TestAnf:
-    def test_zero(self):
-        assert not anf(BooleanFunction.constant(4)).any()
-
-    def test_single_monomial(self):
-        coeffs = anf(AND2)
-        assert list(coeffs) == [0, 0, 0, 1]
-
-    def test_linear(self):
-        assert list(anf(BooleanFunction.linear(3, 5))) == [0, 1, 0, 0, 1, 0, 0, 0]
-
-    def test_round_trip(self, rng):
-        for _ in range(20):
-            f = random_boolfn(rng, 6)
-            assert anf_inverse(anf(f), 6) == f
 
 
 class TestTextHex:

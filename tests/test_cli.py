@@ -1,13 +1,18 @@
 """Command-line interface: formats, exit codes, round trips."""
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import gbent.analysis
 import gbent.cyclotomic
 from gbent.analysis import is_gbent
 from gbent.boolfn import BooleanFunction
@@ -83,48 +88,42 @@ class TestCheck:
 
 @pytest.fixture
 def tally(monkeypatch):
-    """Counts norm_squared_coeffs calls, at every binding, and PerUWitness builds."""
-    counts = {"norm": 0, "witness": 0}
-    norm, witness = gbent.cyclotomic.norm_squared_coeffs, gbent.analysis.PerUWitness
+    """Counts norm_squared_coeffs calls, at every binding."""
+    counts = {"norm": 0}
+    norm = gbent.cyclotomic.norm_squared_coeffs
 
     def counted_norm(C):
         counts["norm"] += 1
         return norm(C)
-
-    def counted_witness(*args):
-        counts["witness"] += 1
-        return witness(*args)
 
     for name, mod in list(sys.modules.items()):
         if name == "gbent" or name.startswith("gbent."):
             for attr, value in list(vars(mod).items()):
                 if value is norm:
                     monkeypatch.setattr(mod, attr, counted_norm)
-    monkeypatch.setattr(gbent.analysis, "PerUWitness", counted_witness)
     return counts
 
 
 class TestWorkCounts:
     def test_norm_calls_and_witness_builds(self, capsys, tmp_path, tally):
         # n = 8, k = 4: each spectrum's norms are computed once and reused,
-        # and per-u witnesses are built only for a table that prints them
+        # and the witness table is printed from the report's columns
         spread = spread_zqbent(regular_spread(4), 4, range(16))
         good, bad = tmp_path / "good.gbf", tmp_path / "bad.gbf"
         good.write_text(spread.to_text())
         bad.write_text(GeneralizedBooleanFunction(8, 4, np.arange(256) % 16).to_text())
 
         def counts(*argv):
-            tally.update(norm=0, witness=0)
+            tally.update(norm=0)
             code, out, _ = run(capsys, *argv)
             return code, out, dict(tally)
 
         # one norm for the direct route, 18 for the Z_16-bent verdicts
-        assert counts("check", str(good)) == (0, "gbent, Z_16-bent: yes\n",
-                                              {"norm": 19, "witness": 0})
-        assert counts("dual", str(good))[::2] == (0, {"norm": 2, "witness": 0})
-        assert counts("check", str(bad)) == (1, "not gbent\n", {"norm": 1, "witness": 0})
+        assert counts("check", str(good)) == (0, "gbent, Z_16-bent: yes\n", {"norm": 19})
+        assert counts("dual", str(good))[::2] == (0, {"norm": 2})
+        assert counts("check", str(bad)) == (1, "not gbent\n", {"norm": 1})
 
-        code, out, tallied = counts("check", str(good), "--verbose")
+        code, out, _ = counts("check", str(good), "--verbose")
         assert code == 0
         # even n: H_f(u) = sign 2^(n/2) zeta^r has one nonzero coefficient
         table = [f"{u} {int(np.flatnonzero(c)[0])} {int(np.sign(c.sum())):+d} -"
@@ -133,7 +132,6 @@ class TestWorkCounts:
         for method in ("direct", "spectral", "quadruple"):
             start = lines.index(f"# method: {method}") + 3
             assert lines[start:start + len(table)] == table
-        assert tallied["witness"] == 3 * len(table)
 
 
 class TestSpectra:
@@ -309,6 +307,104 @@ class TestSearch:
         code, _, err = run(capsys, "search", "4", "2")
         assert code == 2
         assert "error" in err
+
+
+def assert_input_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+BEYOND_INT64 = ("99999999999999999999", "-99999999999999999999", str(1 << 63))
+
+
+class TestExitContract:
+    """Out-of-range integers are input errors (exit 2), never tracebacks."""
+
+    @pytest.mark.parametrize("token", BEYOND_INT64)
+    def test_value_beyond_int64(self, capsys, tmp_path, gbf22, token):
+        p = tmp_path / "big.gbf"
+        p.write_text(f"1 2\n0 {token}\n")
+        for cmd in ("check", "gwht"):
+            code, _, err = run(capsys, cmd, str(p))
+            assert_input_error(code, err)
+        a = tmp_path / "A.mat"
+        a.write_text(f"1 0\n0 {token}\n")
+        b = tmp_path / "B.mat"
+        b.write_text("1\n")
+        code, _, err = run(capsys, "transform", gbf22, "--A", str(a), "--B", str(b))
+        assert_input_error(code, err)
+
+    def test_example1_c_outside_field(self, capsys):
+        # a child process with a timeout, so a hang fails instead of stalling
+        res = subprocess.run([sys.executable, "-m", "gbent", "construct", "example1",
+                              "--m", "4", "--c", "-3"],
+                             capture_output=True, text=True, timeout=60)
+        assert_input_error(res.returncode, res.stderr)
+        for c in ("16", "999"):
+            code, out, err = run(capsys, "construct", "example1", "--m", "4", "--c", c)
+            assert_input_error(code, err)
+            assert out == ""
+
+    def test_quadruples_beyond_cap(self, capsys, tmp_path):
+        p = tmp_path / "k12.gbf"
+        p.write_text("2 12\n0 1 2 3\n")
+        code, _, err = run(capsys, "check", str(p))
+        assert_input_error(code, err)
+        assert "the cap is 512 indices" in err
+
+    @pytest.mark.parametrize("bad", ["-1", "2", "99999999999999999999"])
+    def test_spread_phi_outside_range(self, capsys, bad):
+        code, _, err = run(capsys, "construct", "spread", "--m", "2", "--k", "1",
+                           "--phi", f"0,1,{bad},1")
+        assert err == "error: phi values must lie in [0, 2)\n"
+        assert_input_error(code, err)
+
+
+# small values reach the verdict paths, the wide ones every range check
+TOKENS = st.one_of(st.integers(-2, 17), st.integers(),
+                   st.integers(min_value=1 << 63), st.integers(max_value=-(1 << 63)))
+
+
+def run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+class TestFuzzedIntegers:
+    # k in 5..11 takes the paths of k <= 4 at up to 0.9 GB of quadruples
+    # each; k = 12 is refused before they are built
+    @settings(max_examples=80, deadline=None)
+    @given(cmd=st.sampled_from(["check", "gwht"]),
+           k=st.one_of(st.integers(1, 4), st.just(12), TOKENS).filter(
+               lambda k: not 5 <= k <= 11),
+           table=st.integers(1, 3).flatmap(
+               lambda n: st.tuples(st.just(n), st.lists(TOKENS, min_size=1 << n,
+                                                        max_size=1 << n))))
+    def test_gbf_tokens(self, cmd, k, table):
+        n, values = table
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "f.gbf"
+            p.write_text(f"{n} {k}\n{' '.join(map(str, values))}\n")
+            code, err = run_quiet(cmd, str(p))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(size=st.integers(1, 3), data=st.data())
+    def test_transform_matrix_tokens(self, size, data):
+        rows = data.draw(st.lists(st.lists(TOKENS, min_size=size, max_size=size),
+                                  min_size=size, max_size=size))
+        with tempfile.TemporaryDirectory() as d:
+            f, a, b = Path(d) / "f.gbf", Path(d) / "A.mat", Path(d) / "B.mat"
+            f.write_text(SEED22)
+            a.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
+            b.write_text("1\n")
+            code, err = run_quiet("transform", str(f), "--A", str(a), "--B", str(b))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
 
 
 class TestEntryPoint:

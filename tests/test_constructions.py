@@ -25,19 +25,7 @@ from gbent.constructions import (
     regular_spread,
     spread_zqbent,
 )
-from gbent.errors import (
-    BadM,
-    DualSumNonzero,
-    KTooLarge,
-    L1NotInvariant,
-    NotBalanced,
-    NotBent,
-    NotGbent,
-    NotPermutation,
-    RLessThanK,
-    ShapeMismatch,
-    SingularMatrix,
-)
+from gbent.errors import DualSumNonzero, GbentError, NotBent, NotGbent
 from gbent.gbf import GeneralizedBooleanFunction, gwht
 from gbent.gf2m import Field, inverse_exponent
 
@@ -119,14 +107,19 @@ class TestSpreadZqBent:
         assert coordinates_span_bent(f)
 
     def test_unbalanced_rejected(self):
-        with pytest.raises(NotBalanced):
+        with pytest.raises(GbentError, match=r"exactly 2\^\{m-k\} times"):
             spread_zqbent(regular_spread(2), 2, [0, 0, 1, 3])
-        with pytest.raises(NotBalanced):
+        with pytest.raises(GbentError, match=r"phi must have 2\^m = 4 entries"):
             spread_zqbent(regular_spread(2), 2, [0, 1, 2])
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(GbentError, match=r"exceeds the spread parameter"):
             spread_zqbent(regular_spread(2), 3, range(8))
+
+    @pytest.mark.parametrize("bad", [-1, 4, 1 << 70])
+    def test_phi_outside_range(self, bad):
+        with pytest.raises(GbentError, match=r"phi values must lie in \[0, 4\)"):
+            spread_zqbent(regular_spread(2), 2, [0, 1, bad, 3])
 
 
 class TestMMBent:
@@ -155,7 +148,7 @@ class TestMMBent:
         assert classify(wht(f)).kind == "Bent"
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(NotPermutation):
+        with pytest.raises(GbentError, match=r"pi must be a permutation"):
             mm_bent(2, [0, 0, 1, 2])
 
     def test_dual_through_inverse_permutation(self):
@@ -216,14 +209,19 @@ class TestExample1:
         assert is_zq_bent(f).verdict
 
     def test_bad_m(self):
-        with pytest.raises(BadM):
+        with pytest.raises(GbentError, match=r"need 4 \| m and 5 not \| m"):
             example1(3)
-        with pytest.raises(BadM):
+        with pytest.raises(GbentError, match=r"need 4 \| m and 5 not \| m"):
             example1(20)  # divisible by both 4 and 5
 
     def test_zero_c(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GbentError, match="nonzero field element"):
             example1(4, c=0)
+
+    @pytest.mark.parametrize("c", [16, 999])
+    def test_c_outside_field(self, c):
+        with pytest.raises(GbentError, match="nonzero field element"):
+            example1(4, c=c)
 
 
 class TestMesnager:
@@ -304,7 +302,7 @@ class TestTransforms:
     def test_l1_guard(self):
         swap = np.array([[0, 1], [1, 0]], dtype=np.uint8)
         t = LinearTransform(np.eye(3, dtype=np.uint8), swap)
-        with pytest.raises(L1NotInvariant):
+        with pytest.raises(GbentError, match=r"does not fix the splitting subspace"):
             apply_equivalence(SEED33, t, l1_mask=2)
         fixing = np.array([[1, 0], [1, 1]], dtype=np.uint8)
         t2 = LinearTransform(np.eye(3, dtype=np.uint8), fixing)
@@ -325,19 +323,19 @@ class TestTransforms:
 
     def test_singular_rejected(self):
         bad = np.zeros((2, 2), dtype=np.uint8)
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(GbentError, match=r"A is singular"):
             LinearTransform(bad, np.eye(1, dtype=np.uint8))
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(GbentError, match=r"B is singular"):
             LinearTransform(np.eye(2, dtype=np.uint8),
                             np.zeros((1, 1), dtype=np.uint8))
 
     def test_shape_mismatch(self):
         t = identity_transform(3, 2)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(GbentError, match=r"A is 3x3, function has n=2"):
             apply_equivalence(SEED22, t)
         t2 = LinearTransform(np.eye(2, dtype=np.uint8),
                              np.eye(2, dtype=np.uint8))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(GbentError, match=r"B is 2x2, function has k=2"):
             apply_equivalence(SEED22, t2)
 
     def test_random_invertible_always_invertible(self, rng):
@@ -382,7 +380,7 @@ class TestLift:
         assert is_gbent_direct(g).verdict
 
     def test_rejects_small_r(self):
-        with pytest.raises(RLessThanK):
+        with pytest.raises(GbentError, match=r"need r >= k"):
             lift(SEED22, 1)
 
     def test_rejects_non_gbent(self):

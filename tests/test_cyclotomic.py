@@ -11,7 +11,7 @@ from gbent.cyclotomic import (
     norm_squared_coeffs,
     sqrt2_decompose,
 )
-from gbent.errors import InvalidK
+from gbent.errors import GbentError
 
 Z = CyclotomicInt.zeta_pow
 I = CyclotomicInt.from_int
@@ -134,7 +134,7 @@ class TestNormSquared:
 
 class TestSqrt2Decompose:
     def test_needs_k_at_least_3(self):
-        with pytest.raises(InvalidK):
+        with pytest.raises(GbentError, match=r"sqrt\(2\) decomposition needs k >= 3"):
             sqrt2_decompose(2, 0)
 
     def test_j_range(self):

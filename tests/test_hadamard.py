@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gbent.errors import IndexOutOfRange, InvalidK
+from gbent.errors import GbentError, IndexOutOfRange
 from gbent.hadamard import (
     RowMatch,
     match_row,
@@ -53,7 +53,7 @@ class TestRow:
             row(2, 4)
         with pytest.raises(IndexOutOfRange):
             row(2, -1)
-        with pytest.raises(InvalidK):
+        with pytest.raises(GbentError, match=r"k must be >= 0"):
             row(-1, 0)
 
 
@@ -98,6 +98,10 @@ class TestZeroSumQuadruples:
             for j, c, l, v in quads:
                 assert j < c < l < v < size
                 assert j ^ c ^ l ^ v == 0
+
+    def test_refuses_size_beyond_cap(self):
+        with pytest.raises(GbentError, match=r"44608256 zero-sum quadruples .* cap is 512"):
+            zero_sum_quadruples(1024)
 
     def test_small_sizes_empty(self):
         assert zero_sum_quadruples(1) == ()

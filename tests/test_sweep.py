@@ -6,7 +6,7 @@ import pytest
 from gbent.analysis import is_gbent
 from gbent.boolfn import BooleanFunction
 from gbent.cyclotomic import CyclotomicInt, norm_squared
-from gbent.errors import SpaceTooLarge
+from gbent.errors import GbentError
 from gbent.gbf import GeneralizedBooleanFunction
 from gbent.sweep import (
     batch_component_walsh,
@@ -109,7 +109,7 @@ class TestEnumeration:
         assert tuples[-1] == (3, 3)
 
     def test_space_cap(self):
-        with pytest.raises(SpaceTooLarge):
+        with pytest.raises(GbentError, match=r"exceeds the enumeration cap"):
             next(exhaustive_values(4, 2))
 
     def test_random_values_shape(self, rng):
