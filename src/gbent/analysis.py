@@ -21,10 +21,10 @@ point.
 
 Beyond the verdicts, this module checks the affine (semi-)bent-space
 structure of the component family (dual-sum closure, majority-function
-closure, and for odd n the splitting subspace L_1), decides Z_q-bentness
-by two routes (all nonzero multiples gbent; all truncations gbent), and
-verifies the relative-difference-set property of the graph of f by exact
-pair counting.
+closure, and for odd n the splitting subspace L_1) on the quadruple
+route's component Walsh array, decides Z_q-bentness by two routes (all
+nonzero multiples gbent; all truncations gbent), and verifies the
+relative-difference-set property of the graph of f by exact pair counting.
 """
 
 from __future__ import annotations
@@ -34,18 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, WalshSpectrum, dual, wht
+from .boolfn import BooleanFunction, WalshSpectrum, wht
 from .errors import GbentError, InternalInconsistency
 from .gbf import (
     GeneralizedBooleanFunction,
+    component_walsh,
     component_walsh_matrix,
-    components,
-    coordinates,
     flat_mask,
     gwht,
 )
-from .hadamard import match_rows, row, zero_sum_quadruples
+from .hadamard import match_rows, products_hold
 from .sweep import (
+    _magnitudes,
     batch_component_walsh,
     batch_direct_flat,
     batch_spectral_pass,
@@ -232,27 +232,6 @@ def is_gbent(f: GeneralizedBooleanFunction) -> bool:
 # -- affine (semi-)bent space structure --------------------------------------
 
 
-def _majority(a: BooleanFunction, b: BooleanFunction, c: BooleanFunction) -> BooleanFunction:
-    return BooleanFunction(a.n, (a.table & b.table) ^ (a.table & c.table)
-                           ^ (b.table & c.table))
-
-
-def _is_bent(g: BooleanFunction) -> bool:
-    if g.n % 2:
-        return False
-    return bool((np.abs(wht(g).values) == 1 << (g.n // 2)).all())
-
-
-def _is_semibent_valued(g: BooleanFunction) -> bool:
-    # Walsh values within {0, +-2^{(n+1)/2}}; unlike the minimal-s
-    # classification this accepts affine functions only at n = 1
-    if g.n % 2 == 0:
-        return False
-    w = wht(g).values
-    c = 1 << ((g.n + 1) // 2)
-    return bool(((w == 0) | (np.abs(w) == c)).all())
-
-
 @dataclass(frozen=True)
 class BentSpaceReport:
     """Structure of the component affine space A = a_{k-1} + <a_0..a_{k-2}>.
@@ -288,42 +267,54 @@ class BentSpaceReport:
                     and self.odd_split_subspace is not None)
 
 
+def _majority_walsh(w0, w1, w2, w3) -> np.ndarray:
+    """Carlet's identity (w0 + w1 + w2 - w3) / 2, exact when g0 + g1 + g2 + g3 = 0."""
+    total = w0 + w1 + w2 - w3
+    if (total & 1).any():
+        raise InternalInconsistency("majority Walsh identity sum is odd")
+    return total >> 1
+
+
+def _majorities_pass(n: int, W: np.ndarray) -> bool:
+    """Every majority of components i < j < l passes the member test.
+
+    g_i + g_j + g_l + g_{i^j^l} = 0, so Carlet's identity gives each
+    majority's spectrum from four columns of W, in blocks of about 2 MB.
+    """
+    m = W.shape[1]
+    J, L = np.triu_indices(m, 1)        # pairs j < l, sorted by j
+    step = max(1, (1 << 18) // len(W))
+    for i in range(m - 2):
+        for s in range(int(np.searchsorted(J, i, side="right")), len(J), step):
+            j, l = J[s:s + step], L[s:s + step]
+            M = _majority_walsh(W[:, i, None], W[:, j], W[:, l], W[:, i ^ j ^ l])
+            if not _magnitudes(n, M).all():
+                return False
+    return True
+
+
 def bent_space_report(f: GeneralizedBooleanFunction) -> BentSpaceReport:
-    """Check the component family against the affine-space characterizations."""
+    """Check the component family against the affine-space characterizations.
+
+    All of it is read off one component Walsh array W.  For bent members
+    g_j* + g_c* + g_l* + g_v* = 0 at u exactly when W_j W_c = W_l W_v there,
+    so dual-sum closure is the quadruple route's product relations.
+    """
     if f.k < 2:
         raise GbentError(f"bent space structure needs k >= 2, got k={f.k}")
-    fam = list(components(f))
-    m = len(fam)
+    W = component_walsh_matrix(f)
     even = f.n % 2 == 0
-    member_ok = _is_bent if even else _is_semibent_valued
-    is_space = all(member_ok(g) for g in fam)
-
-    dual_sum_closed: bool | None = None
-    if even:
-        dual_sum_closed = False
-        if is_space:
-            duals = [dual(g) for g in fam]
-            dual_sum_closed = all(
-                (duals[j] ^ duals[c] ^ duals[l] ^ duals[v]).weight() == 0
-                for j, c, l, v in zero_sum_quadruples(m))
-
-    mesnager_closed = all(
-        member_ok(_majority(fam[i], fam[j], fam[l]))
-        for i, j, l in itertools.combinations(range(m), 3)) if is_space else False
-    if m < 3:
-        mesnager_closed = is_space
+    is_space = bool(_magnitudes(f.n, W).all())
+    dual_sum_closed = bool(is_space and products_hold(W).all()) if even else None
+    mesnager_closed = is_space and _majorities_pass(f.n, W)
 
     split_mask: int | None = None
     if not even:
-        zero = component_walsh_matrix(f) == 0
-        # prefer the hyperplane of the standard representation <a_0..a_{k-3}>
-        candidates = [1 << (f.k - 2)] + [c for c in range(1, m) if c != 1 << (f.k - 2)]
-        for c in candidates:
-            # the zero set of every W(u) must be the hyperplane or its complement
-            inside = row(f.k - 1, c) == 1
-            if ((zero == inside).all(axis=1) | (zero == ~inside).all(axis=1)).all():
-                split_mask = c
-                break
+        # every W(u) must vanish exactly on {i : popcount(i & c) even} or off
+        # it, for one c != 0: then 1 - 2 [W(u) = 0] is +-H^{(c)} at every u
+        r, _, ok = match_rows(1 - 2 * (W == 0))
+        if ok.all() and (r == r[0]).all() and r[0]:
+            split_mask = int(r[0])
     return BentSpaceReport(f.n, f.k, is_space, dual_sum_closed,
                            mesnager_closed, split_mask)
 
@@ -337,10 +328,8 @@ def carlet_walsh_identity(g0: BooleanFunction, g1: BooleanFunction,
     """
     if (g0 ^ g1 ^ g2 ^ g3).weight() != 0:
         raise GbentError("the four functions must XOR to zero")
-    total = (wht(g0).values + wht(g1).values + wht(g2).values - wht(g3).values)
-    if (total & 1).any():
-        raise InternalInconsistency("majority Walsh identity sum is odd")
-    return WalshSpectrum(g0.n, total >> 1)
+    spectra = (wht(g).values for g in (g0, g1, g2, g3))
+    return WalshSpectrum(g0.n, _majority_walsh(*spectra))
 
 
 # -- Z_q-bentness and relative difference sets -------------------------------
@@ -379,16 +368,13 @@ def is_zq_bent(f: GeneralizedBooleanFunction) -> ZqBentReport:
 
 
 def coordinates_span_bent(f: GeneralizedBooleanFunction) -> bool:
-    """True iff every nonzero F_2-combination of coordinates is bent."""
-    coords = coordinates(f)
-    for mask in range(1, 1 << f.k):
-        g = BooleanFunction.constant(f.n)
-        for j in range(f.k):
-            if (mask >> j) & 1:
-                g = g ^ coords[j]
-        if not _is_bent(g):
-            return False
-    return True
+    """True iff every nonzero F_2-combination of coordinates is bent.
+
+    Those with top coordinate a_{j-1} are the components of f mod 2^j.
+    """
+    return f.n % 2 == 0 and all(
+        _magnitudes(f.n, component_walsh(f.values % (1 << j), j)).all()
+        for j in range(1, f.k + 1))
 
 
 def verify_rds(f: GeneralizedBooleanFunction) -> bool:

@@ -30,7 +30,7 @@ from .errors import (
     NotBent,
     NotGbent,
 )
-from .gbf import GeneralizedBooleanFunction, coordinates
+from .gbf import MAX_K, GeneralizedBooleanFunction, coordinates
 from .gf2m import Field, inverse_exponent
 
 
@@ -183,8 +183,8 @@ def example1(m: int, c: int = 1) -> GeneralizedBooleanFunction:
     if c < 1 or c.bit_length() > m:
         # c in [1, 2^m); Field.mul assumes bitmasks and loops forever on c < 0
         raise GbentError("c must be a nonzero field element")
+    fld = Field(m)                      # bounds m before 2^m - 1 is formed
     d = inverse_exponent(11, m)
-    fld = Field(m)
     b = fld.find_root(0b10011)
     mults = (fld.mul(c, 1 ^ b), fld.mul(c, 1 ^ fld.inv(b)), c)
     size = 1 << m
@@ -254,11 +254,12 @@ def _f2_rank(mat: np.ndarray) -> int:
 
 
 def _validate_bit_matrix(mat: np.ndarray, size: int, name: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.uint8)
+    mat = np.asarray(mat, dtype=np.int64)
     if mat.shape != (size, size):
         raise GbentError(f"{name} must be {size}x{size}, got {mat.shape}")
     if not np.isin(mat, (0, 1)).all():
         raise ValueError(f"{name} entries must be bits")
+    mat = mat.astype(np.uint8)
     if size and _f2_rank(mat) != size:
         raise GbentError(f"{name} is singular over F_2")
     return mat
@@ -372,17 +373,10 @@ def lift(f: GeneralizedBooleanFunction, r: int) -> GeneralizedBooleanFunction:
         raise NotGbent("only gbent functions are lifted")
     if r == f.k:
         return f
-    values = np.zeros(1 << f.n, dtype=np.int64)
-    coords = coordinates(f)
-    if f.n % 2 == 0:
-        for j in range(f.k - 1):
-            values += coords[j].table.astype(np.int64) << j
-        values += coords[f.k - 1].table.astype(np.int64) << (r - 1)
-    else:
-        for j in range(f.k - 2):
-            values += coords[j].table.astype(np.int64) << j
-        values += coords[f.k - 2].table.astype(np.int64) << (r - 2)
-        values += coords[f.k - 1].table.astype(np.int64) << (r - 1)
+    if r > MAX_K:
+        raise GbentError(f"k must be an integer in [1, {MAX_K}], got {r}")
+    low = f.k - 1 - f.n % 2             # coordinates below the moved ones
+    values = (f.values & ((1 << low) - 1)) | ((f.values >> low) << (low + r - f.k))
     out = GeneralizedBooleanFunction(f.n, r, values)
     if not gbent_verdict(out):
         raise InternalInconsistency("lifted function is not gbent")

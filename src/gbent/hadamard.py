@@ -8,7 +8,7 @@ single rows computed on demand.
 The quadruple condition characterizes signed rows among all +-1 vectors:
 w is +-H^{(r)} for some r exactly when w_j w_c = w_l w_v holds for every
 set of four distinct indices with z_j + z_c + z_l + z_v = 0 (a 2-flat in
-the index space).
+the index space).  The 2-flats through index 0 imply the rest.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def zero_sum_quadruples(size: int) -> tuple[tuple[int, int, int, int], ...]:
     Each 2-flat appears exactly once: taking (j, c, l) as the three smallest
     members forces v = j^c^l to be the largest.  There are
     size (size-1) (size-2) / 24 of them, about 165 bytes each as tuples, so
-    sizes above QUADRUPLE_SIZE_CAP (k > 10 for the component spectra) fail
-    fast instead of exhausting memory.
+    sizes above QUADRUPLE_SIZE_CAP fail fast instead of exhausting memory.
+    products_hold needs only the flats through 0; this is the full set.
     """
     if size <= 0 or size & (size - 1):
         raise ValueError(f"size {size} is not a power of two")
@@ -105,10 +105,23 @@ def zero_sum_quadruples(size: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def products_hold(W: np.ndarray) -> np.ndarray:
-    """w_j w_c == w_l w_v on every zero-sum index quadruple of the last axis."""
+    """w_0 w_i == w_j w_{i^j} on every 2-flat {0, i, j, i^j} of the last axis.
+
+    These (m-1)(m-2)/6 zero-sum relations through index 0 imply all
+    m(m-1)(m-2)/24 when every |w_t| is one c > 0, which each caller also
+    checks.  Proof: then a relation on a 2-flat {a, b, d, e} says
+    w_a w_b w_d w_e = c^4 in any pairing, so chi(i) = w_0 w_i / c^2 has
+    chi(i) chi(j) = w_i w_j / c^2 = w_0 w_{i^j} / c^2 = chi(i^j): a
+    character.  So w_t = (c^2 / w_0) chi(t), and w_j w_c w_l w_v = c^4 on
+    every zero-sum quadruple.  Each flat is taken once, as 0 < i < j < i^j;
+    i^j > j says that j lacks the top bit of i, so no j is left for i >= m/2.
+    """
+    m = W.shape[-1]
     out = np.ones(W.shape[:-1], dtype=bool)
-    for j, c, l, v in zero_sum_quadruples(W.shape[-1]):
-        out &= W[..., j] * W[..., c] == W[..., l] * W[..., v]
+    for i in range(1, m // 2):
+        j = np.arange(i + 1, m)
+        j = j[(j & (1 << (i.bit_length() - 1))) == 0]
+        out &= (W[..., :1] * W[..., i:i + 1] == W[..., j] * W[..., i ^ j]).all(axis=-1)
     return out
 
 

@@ -74,6 +74,13 @@ def batch_spectral_pass(n: int, k: int, W: np.ndarray) -> np.ndarray:
     return (low_zero ^ high_zero) & match_rows(active, 1 << ((n + 1) // 2))[2]
 
 
+def _magnitudes(n: int, W: np.ndarray) -> np.ndarray:
+    """|W| = 2^{n/2} (bent, even n), or W in {0, +-2^{(n+1)/2}} (odd n), entrywise."""
+    if n % 2 == 0:
+        return np.abs(W) == 1 << (n // 2)
+    return (W == 0) | (np.abs(W) == 1 << ((n + 1) // 2))
+
+
 def quadruple_masks(n: int, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(magnitudes, relations) of the product-relation route, k >= 2.
 
@@ -81,16 +88,15 @@ def quadruple_masks(n: int, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (even n) or W_{g_i}(u) is 0 or +-2^{(n+1)/2} (odd n).  relations is
     per u: even n, the product relations hold on W(u); odd n, exactly one
     half of W(u) vanishes and the other has no zero and satisfies the
-    product relations.
+    product relations; it decides nothing where magnitudes fail.
     """
     if n % 2 == 0:
-        return np.abs(W) == 1 << (n // 2), products_hold(W)
-    c = 1 << ((n + 1) // 2)
+        return _magnitudes(n, W), products_hold(W)
     low_zero, high_zero, active = split_halves(W)
     relations = ((low_zero ^ high_zero)
                  & (active != 0).all(axis=-1)
                  & products_hold(active))
-    return (W == 0) | (np.abs(W) == c), relations
+    return _magnitudes(n, W), relations
 
 
 def batch_quadruple_verdict(n: int, k: int, W: np.ndarray) -> np.ndarray:

@@ -22,13 +22,15 @@ from gbent.analysis import (
     is_zq_bent,
     verify_rds,
 )
-from gbent.boolfn import BooleanFunction, wht
+from gbent.boolfn import BooleanFunction, dual, wht
 from gbent.cyclotomic import CyclotomicInt
 
 zeta_pow = CyclotomicInt.zeta_pow
 from gbent.constructions import lift, regular_spread, spread_zqbent
 from gbent.errors import GbentError, InternalInconsistency
-from gbent.gbf import GeneralizedBooleanFunction, gwht
+from gbent.gbf import GeneralizedBooleanFunction, components, gwht
+from gbent.hadamard import row, zero_sum_quadruples
+from gbent.sweep import search_gbent
 
 IP4 = [(x & 1) * ((x >> 2) & 1) ^ ((x >> 1) & 1) * ((x >> 3) & 1)
        for x in range(16)]
@@ -54,6 +56,40 @@ def all_gbfs(n, k):
 
 def random_gbf(rng, n, k):
     return GeneralizedBooleanFunction(n, k, rng.integers(0, 1 << k, size=1 << n))
+
+
+def space_reference(f):
+    """bent_space_report member by member: Boolean components, duals, majorities."""
+    fam = components(f)
+    m, even = len(fam), f.n % 2 == 0
+
+    def member_ok(g):
+        w = wht(g).values
+        if even:
+            return bool((np.abs(w) == 1 << (f.n // 2)).all())
+        return bool(((w == 0) | (np.abs(w) == 1 << ((f.n + 1) // 2))).all())
+
+    def majority(a, b, c):
+        return BooleanFunction(f.n, (a.table & b.table) ^ (a.table & c.table)
+                               ^ (b.table & c.table))
+
+    is_space = all(member_ok(g) for g in fam)
+    dual_sum = None
+    if even:
+        dual_sum = is_space and all(
+            (dual(fam[j]) ^ dual(fam[c]) ^ dual(fam[l]) ^ dual(fam[v])).weight() == 0
+            for j, c, l, v in zero_sum_quadruples(m))
+    mesnager = is_space and all(member_ok(majority(fam[i], fam[j], fam[l]))
+                                for i, j, l in itertools.combinations(range(m), 3))
+    split = None
+    if not even:
+        zero = np.stack([wht(g).values for g in fam], axis=1) == 0
+        for c in range(1, m):
+            inside = row(f.k - 1, c) == 1
+            if ((zero == inside).all(axis=1) | (zero == ~inside).all(axis=1)).all():
+                split = c
+                break
+    return BentSpaceReport(f.n, f.k, is_space, dual_sum, mesnager, split)
 
 
 def witness_value(n, k, r, sign, high=None):
@@ -324,6 +360,17 @@ class TestBentSpace:
         f = GeneralizedBooleanFunction(2, 1, [0, 0, 0, 1])
         with pytest.raises(GbentError, match=r"bent space structure needs k >= 2"):
             bent_space_report(f)
+
+    def test_matches_boolean_reference(self, rng):
+        fams = [SEED22, SEED32, SEED43, BENT_NOT_GBENT]
+        fams += [lift(f, r) for f in (SEED22, SEED32, SEED43) for r in (4, 5)]
+        for n, k in ((2, 3), (3, 2), (3, 3), (4, 2)):
+            hits, _ = search_gbent(n, k, count=20_000, rng=rng)
+            fams += hits[:6]
+        fams += [random_gbf(rng, n, k) for n in (1, 2, 3, 4) for k in (2, 3, 4)
+                 for _ in range(4)]
+        for f in fams:
+            assert bent_space_report(f) == space_reference(f), f.to_text()
 
 
 class TestCarletIdentity:

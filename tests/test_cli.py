@@ -2,9 +2,11 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gbent.boolfn
 import gbent.cyclotomic
+import gbent.gbf
 from gbent.analysis import is_gbent
 from gbent.boolfn import BooleanFunction
 from gbent.cli import main
@@ -86,21 +90,26 @@ class TestCheck:
         assert out.strip() == "gbent, Z_8-bent: yes"
 
 
-@pytest.fixture
-def tally(monkeypatch):
-    """Counts norm_squared_coeffs calls, at every binding."""
-    counts = {"norm": 0}
-    norm = gbent.cyclotomic.norm_squared_coeffs
+def count_calls(monkeypatch, counts, key, original):
+    """Routes every gbent binding of original through counts[key] += 1."""
+    counts[key] = 0
 
-    def counted_norm(C):
-        counts["norm"] += 1
-        return norm(C)
+    def counted(*args):
+        counts[key] += 1
+        return original(*args)
 
     for name, mod in list(sys.modules.items()):
         if name == "gbent" or name.startswith("gbent."):
             for attr, value in list(vars(mod).items()):
-                if value is norm:
-                    monkeypatch.setattr(mod, attr, counted_norm)
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    """Counts norm_squared_coeffs calls, at every binding."""
+    counts = {}
+    count_calls(monkeypatch, counts, "norm", gbent.cyclotomic.norm_squared_coeffs)
     return counts
 
 
@@ -132,6 +141,21 @@ class TestWorkCounts:
         for method in ("direct", "spectral", "quadruple"):
             start = lines.index(f"# method: {method}") + 3
             assert lines[start:start + len(table)] == table
+
+    def test_space_reads_one_component_walsh(self, capsys, tmp_path, monkeypatch):
+        # every structure check reads the one component Walsh array
+        counts = {}
+        count_calls(monkeypatch, counts, "component_walsh", gbent.gbf.component_walsh)
+        count_calls(monkeypatch, counts, "wht", gbent.boolfn.wht)
+        spread = tmp_path / "spread.gbf"
+        spread.write_text(spread_zqbent(regular_spread(4), 4, range(16)).to_text())
+        odd = tmp_path / "odd.gbf"
+        odd.write_text(SEED32)
+        for path, split in ((spread, "-"), (odd, "1")):
+            code, out, _ = run(capsys, "space", str(path))
+            assert (code, counts) == (0, {"component_walsh": 1, "wht": 0})
+            assert f"odd_split_subspace: {split}" in out
+            counts.update(component_walsh=0)
 
 
 class TestSpectra:
@@ -346,12 +370,52 @@ class TestExitContract:
             assert_input_error(code, err)
             assert out == ""
 
-    def test_quadruples_beyond_cap(self, capsys, tmp_path):
+    def test_check_at_k12(self, capsys, tmp_path):
+        # the product relations run on the 2-flats through 0, so no index cap
         p = tmp_path / "k12.gbf"
         p.write_text("2 12\n0 1 2 3\n")
-        code, _, err = run(capsys, "check", str(p))
+        assert run(capsys, "check", str(p)) == (1, "not gbent\n", "")
+        seed = tmp_path / "seed.gbf"
+        seed.write_text(SEED32)
+        code, out, _ = run(capsys, "lift", str(seed), "12")
+        assert code == 0
+        p.write_text(out)
+        code, out, err = run(capsys, "check", str(p), "--json")
+        assert (code, err) == (0, "")
+        routes = json.loads(out)["routes"]
+        assert [r["verdict"] for r in routes] == [True] * 3
+        assert routes[0]["per_u"] == routes[1]["per_u"] == routes[2]["per_u"]
+
+    @pytest.mark.parametrize("entry", ["257", "-255"])
+    def test_matrix_entry_not_a_bit(self, capsys, tmp_path, gbf22, entry):
+        # 257 and -255 both wrap to 1 in uint8
+        a = tmp_path / "A.mat"
+        a.write_text(f"0 1\n{entry} 0\n")
+        b = tmp_path / "B.mat"
+        b.write_text("1\n")
+        code, out, err = run(capsys, "transform", gbf22, "--A", str(a), "--B", str(b))
         assert_input_error(code, err)
-        assert "the cap is 512 indices" in err
+        assert (out, err.count("\n")) == ("", 1)
+
+    def test_lift_r_beyond_int64(self, capsys, gbf22):
+        code, out, err = run(capsys, "lift", gbf22, "99999999999999999999")
+        assert_input_error(code, err)
+        assert out == ""
+
+    def test_example1_m_beyond_field(self):
+        # a child process with a 1 GB address-space limit and a timeout, so
+        # forming 2^m - 1 fails (or stalls) there instead of in the test run
+        script = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from gbent.cli import main
+            sys.exit(main(["construct", "example1", "--m", "68719476736"]))
+        """)
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=60,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert_input_error(res.returncode, res.stderr)
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("bad", ["-1", "2", "99999999999999999999"])
     def test_spread_phi_outside_range(self, capsys, bad):
@@ -374,12 +438,12 @@ def run_quiet(*argv):
 
 
 class TestFuzzedIntegers:
-    # k in 5..11 takes the paths of k <= 4 at up to 0.9 GB of quadruples
-    # each; k = 12 is refused before they are built
+    # k in 9..11 takes the paths of k = 8 and 12, but an even-n gbent hit
+    # there spends seconds on the 2^k - 1 multiples of its Z_q-bent verdict
     @settings(max_examples=80, deadline=None)
     @given(cmd=st.sampled_from(["check", "gwht"]),
-           k=st.one_of(st.integers(1, 4), st.just(12), TOKENS).filter(
-               lambda k: not 5 <= k <= 11),
+           k=st.one_of(st.integers(1, 8), st.just(12), TOKENS).filter(
+               lambda k: not 9 <= k <= 11),
            table=st.integers(1, 3).flatmap(
                lambda n: st.tuples(st.just(n), st.lists(TOKENS, min_size=1 << n,
                                                         max_size=1 << n))))

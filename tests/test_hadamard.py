@@ -7,6 +7,7 @@ from gbent.errors import GbentError, IndexOutOfRange
 from gbent.hadamard import (
     RowMatch,
     match_row,
+    products_hold,
     quadruple_condition,
     row,
     zero_sum_quadruples,
@@ -134,37 +135,42 @@ class TestQuadrupleCondition:
                 assert quadruple_condition(w) == (match_row(w) is not None)
 
     def test_matches_match_row_sampled(self, rng):
-        # k = 4, 5: batch-evaluate both predicates on 10^5 samples each,
+        # k = 2..6, entries +-c: batch-evaluate the full zero-sum loop, the
+        # 2-flats through 0 of products_hold and a row match on the samples,
         # seeding in signed rows and near-rows so the true branch is hit
-        for k, samples in ((4, 100_000), (5, 100_000)):
+        for k, c in itertools.product(range(2, 7), (1, 4)):
             size = 1 << k
+            samples = (100_000, 100_000, 100_000, 20_000, 10_000)[k - 2]
             W = 1 - 2 * rng.integers(0, 2, size=(samples, size)).astype(np.int64)
             planted = np.array([s * row(k, r) for r in range(size) for s in (1, -1)])
-            near = planted.copy()
-            near[:, 0] *= -1  # one flipped entry breaks row structure
-            W = np.vstack([W, planted, near])
+            near = np.vstack([planted, planted])
+            near[:len(planted), 0] *= -1  # one flipped entry breaks row structure
+            near[len(planted):, -1] *= -1
+            W = c * np.vstack([W, planted, near])
 
-            # vectorized quadruple condition
+            # reference: every zero-sum quadruple, on contiguous columns
+            T = np.ascontiguousarray(W.T)
             quad_ok = np.ones(len(W), dtype=bool)
-            for j, c, l, v in zero_sum_quadruples(size):
-                quad_ok &= W[:, j] * W[:, c] == W[:, l] * W[:, v]
+            for a, b, d, e in zero_sum_quadruples(size):
+                quad_ok &= T[a] * T[b] == T[d] * T[e]
 
             # vectorized row match: reconstruct r from entries at powers of 2
-            sign = W[:, 0]
+            sign = np.sign(W[:, 0])
             r = np.zeros(len(W), dtype=np.int64)
             for s in range(k):
-                r |= ((sign * W[:, 1 << s]) == -1).astype(np.int64) << s
+                r |= ((sign * W[:, 1 << s]) < 0).astype(np.int64) << s
             cols = np.arange(size, dtype=np.uint32)
             expected = 1 - 2 * (np.bitwise_count(cols[None, :] & r[:, None].astype(np.uint32)) & 1).astype(np.int64)
-            match_ok = (W == sign[:, None] * expected).all(axis=1)
+            match_ok = (W == c * sign[:, None] * expected).all(axis=1)
 
             assert np.array_equal(quad_ok, match_ok)
-            assert match_ok[-2 * size * 2: -size * 2].all()      # planted rows accepted
-            assert not match_ok[-size * 2:].any()                # near-rows rejected
+            assert np.array_equal(products_hold(W), quad_ok)
+            assert match_ok[-6 * size: -4 * size].all()          # planted rows accepted
+            assert not match_ok[-4 * size:].any()                # near-rows rejected
 
-            # scalar spot check of the batch forms
+            # scalar spot check of the batch forms on the +-1 vectors
             for idx in rng.integers(0, len(W), size=100):
-                w = W[int(idx)]
+                w = W[int(idx)] // c
                 assert quadruple_condition(w) == bool(quad_ok[int(idx)])
                 got = match_row(w)
                 assert (got is not None) == bool(match_ok[int(idx)])
