@@ -24,17 +24,23 @@ structure of the component family (dual-sum closure, majority-function
 closure, and for odd n the splitting subspace L_1) on the quadruple
 route's component Walsh array, decides Z_q-bentness by two routes (all
 nonzero multiples gbent; all truncations gbent), and verifies the
-relative-difference-set property of the graph of f by exact pair counting.
+relative-difference-set property of the graph of f by exact difference
+counts.  The last two read one difference spectrum
+R_c(u) = sum_v I_{v+c}(u) I_v(u) of the level-set Walsh transforms I_v:
+|H_{a f}(u)|^2 = sum_c zeta^{a c} R_c(u) exactly, and the inverse Walsh
+transform of R_c counts the x with f(x) - f(x + d) = c.  R is int64 with
+every entry, and every coefficient folded from it, at most 2^{2n} <= 2^48.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, WalshSpectrum, wht
+from .boolfn import BooleanFunction, WalshSpectrum, fwht_, wht
 from .errors import GbentError, InternalInconsistency
 from .gbf import (
     GeneralizedBooleanFunction,
@@ -341,8 +347,9 @@ class ZqBentReport:
 
     per_a[a-1] is the gbent verdict of (a f) mod 2^k for a = 1..2^k-1;
     per_t[t] is the gbent verdict of the truncation to GB_n^{2^{k-t}} for
-    t = 0..k-1.  The two routes are equivalent and are both computed; they
-    share their first entry, the verdict of f itself.
+    t = 0..k-1.  A multiple a and the truncation t with 2^t = gcd(a, 2^k)
+    have the same verdict (see is_zq_bent); the routes share their first
+    entry, the verdict of f itself.
     """
 
     verdict: bool
@@ -350,20 +357,68 @@ class ZqBentReport:
     per_t: tuple[bool, ...]
 
 
+def _difference_spectra(values: np.ndarray, k: int) -> np.ndarray:
+    """R_c(u) = sum_v I_{v+c}(u) I_v(u) for 0 <= c <= 2^{k-1}: shape (2^{k-1} + 1, 2^n), int64.
+
+    I_v is the Walsh transform of the level-set indicator [f = v], all 2^k of
+    them taken in one butterfly, and c runs over Z_{2^k}.  Expanding
+    H_{a f}(u) conj(H_{a f}(u)) over pairs of values gives
+    |H_{a f}(u)|^2 = sum_c zeta_{2^k}^{a c} R_c(u), and the inverse Walsh
+    transform of R_c counts the x with f(x) - f(x + d) = c.  R_{-c} = R_c, so
+    the rows c <= 2^{k-1} formed here determine R, and no caller needs the rest.
+
+    Exact: |I_v(u)| <= 2^n <= 2^24 fits int32, every product is taken in
+    int64, and |R_c(u)| <= (sum_v |I_v(u)|)^2 <= 2^{2n} <= 2^48, which bounds
+    each partial sum as well.
+    """
+    q, size = 1 << k, values.shape[-1]
+    I = np.zeros((size, q), dtype=np.int32)
+    I[np.arange(size), values] = 1
+    # the butterfly runs down contiguous rows; the products want value rows
+    I = np.ascontiguousarray(fwht_(I, axis=0).T)
+    R = np.empty((q // 2 + 1, size), dtype=np.int64)
+    for c in range(q // 2 + 1):
+        R[c] = np.einsum("vu,vu->u", I[c:], I[:q - c], dtype=np.int64)
+        if c:
+            R[c] += np.einsum("vu,vu->u", I[:c], I[q - c:], dtype=np.int64)
+    return R
+
+
 def is_zq_bent(f: GeneralizedBooleanFunction) -> ZqBentReport:
     """Decide Z_q-bentness (even n) by multiples and by truncations.
 
     Route A follows the definition: (a f) mod 2^k must be gbent for every
     nonzero a.  Route B checks that every truncation f mod 2^{k-t} is gbent
-    in GB_n^{2^{k-t}}.  Disagreement raises InternalInconsistency.
+    in GB_n^{2^{k-t}}.
+
+    Both read one difference spectrum R (see _difference_spectra) and make
+    no GWHT.  With q = 2^k, |H_{a f}(u)|^2 = sum_c zeta_q^{a c} R_c(u).  The
+    map e(c) = a c mod q has period g = q / gcd(a, q), so the sum is R folded
+    onto R'_j = sum of R_c over c = j mod g, j < g.  Since
+    e(j + g/2) = e(j) + q/2 and zeta_q^{q/2} = -1, its power-basis
+    coefficients are, up to sign and order, the rows R'_j - R'_{j+g/2} for
+    j < g/2, with coefficient 0 at j = 0.  So (a f) is gbent exactly when
+    that row is 2^n and the others vanish, a test that depends on a only
+    through g.  The truncation f mod g has |H(u)|^2 = sum_c zeta_g^c R_c(u),
+    the same fold with a = 1, so route B reads the same k tests: one per
+    g = 2^k, ..., 2.  R' is symmetric like R, R'_{g-j} = R'_j, so rows
+    j <= g/2 hold it: the test is R'_0 - R'_{g/2} = 2^n with rows 1..g/2-1
+    a palindrome, and the next fold is R'_j + R'_{g/2-j}, taken in place.
+    Every folded entry is at most sum_c |R_c(u)| <= 2^{2n} <= 2^48 in
+    magnitude, so int64 is exact.
     """
     if f.n % 2:
         raise GbentError("Z_q-bentness is defined here for even n only")
-    per_a = tuple(gbent_verdict(f.scale(a)) for a in range(1, 1 << f.k))
-    per_t = per_a[:1] + tuple(gbent_verdict(f.truncate(t)) for t in range(1, f.k))
-    if all(per_a) != all(per_t):
-        raise InternalInconsistency(
-            f"multiple route says {all(per_a)}, truncation route says {all(per_t)}")
+    q = 1 << f.k
+    R = _difference_spectra(f.values, f.k)
+    flat = {}
+    for g in (q >> i for i in range(f.k)):     # R[:g/2 + 1] holds R' for period g
+        h = g // 2
+        flat[g] = bool((R[0] - R[h] == 1 << f.n).all() and (R[1:h] == R[h - 1:0:-1]).all())
+        if h > 1:
+            R[:h // 2 + 1] += R[h:h // 2 - 1:-1]
+    per_a = tuple(flat[q // math.gcd(a, q)] for a in range(1, q))
+    per_t = tuple(flat[q >> t] for t in range(f.k))
     return ZqBentReport(all(per_a), per_a, per_t)
 
 
@@ -384,6 +439,13 @@ def verify_rds(f: GeneralizedBooleanFunction) -> bool:
     set in V_n x Z_{2^k} iff for every d != 0 the multiset
     {f(x) - f(x + d) mod 2^k} takes each value exactly 2^{n-k} times;
     differences with vanishing V_n part never occur off the diagonal.
+
+    The counts N_c(d) = #{x : f(x) - f(x + d) = c} come from the difference
+    spectrum: R_c(u) = sum_d N_c(d) (-1)^{u.d}, so one inverse butterfly of R
+    gives 2^n N_c(d), and the division by 2^n must be exact.  N_{-c} = N_c,
+    so the rows c <= 2^{k-1} decide.  |R_c(u)| <= 2^{2n}, so every partial
+    sum of the butterfly is at most 2^{3n} <= 2^48 under the counting cap
+    n <= 16.
     """
     if f.n % 2:
         raise GbentError("relative difference set check is defined for even n")
@@ -394,9 +456,15 @@ def verify_rds(f: GeneralizedBooleanFunction) -> bool:
     lam, rem = divmod(size, q)
     if rem:
         return False
-    x = np.arange(size)
-    for d in range(1, size):
-        diffs = (f.values - f.values[x ^ d]) % q
-        if not (np.bincount(diffs, minlength=q) == lam).all():
-            return False
-    return True
+    # R_c(0) = sum_d N_c(d), the cyclic autocorrelation of the value counts,
+    # must be 2^{n-k} (2^n - 1) + 2^n [c = 0]: a necessary condition, checked
+    # before R is formed at 2^k 2^n entries, that every balanced f fails
+    h = np.bincount(f.values, minlength=q)
+    lin = np.correlate(h, h, mode="full")       # lin[q - 1 + s] = sum_v h_{v+s} h_v
+    totals = lin[q - 1:] + np.concatenate(([0], lin[:q - 1]))
+    if (totals != lam * (size - 1) + size * (np.arange(q) == 0)).any():
+        return False
+    counts = fwht_(_difference_spectra(f.values, f.k), axis=-1)
+    if (counts & (size - 1)).any():
+        raise InternalInconsistency("difference counts: 2^n N_c(d) not divisible by 2^n")
+    return bool(((counts[:, 1:] >> f.n) == lam).all())

@@ -32,6 +32,25 @@ def gwht_naive_at(values, n: int, k: int, u: int) -> CyclotomicInt:
     return acc
 
 
+def rds_naive(values, n: int, k: int) -> bool:
+    """Graph of f is a relative difference set, by one difference count per d.
+
+    For every d != 0 the differences f(x) - f(x + d) mod 2^k must take each
+    value exactly 2^{n-k} times.
+    """
+    size, q = 1 << n, 1 << k
+    lam, rem = divmod(size, q)
+    if rem:
+        return False
+    values = np.asarray(values, dtype=np.int64)
+    x = np.arange(size)
+    for d in range(1, size):
+        diffs = (values - values[x ^ d]) % q
+        if not (np.bincount(diffs, minlength=q) == lam).all():
+            return False
+    return True
+
+
 def random_boolfn(rng: np.random.Generator, n: int) -> BooleanFunction:
     return BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
 

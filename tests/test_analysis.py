@@ -8,13 +8,16 @@ import textwrap
 import numpy as np
 import pytest
 
+from conftest import rds_naive
 from gbent.analysis import (
     BentSpaceReport,
     GbentReport,
+    _difference_spectra,
     bent_space_report,
     carlet_walsh_identity,
     coordinates_span_bent,
     gbent_reports,
+    gbent_verdict,
     is_gbent,
     is_gbent_direct,
     is_gbent_quadruple,
@@ -30,7 +33,7 @@ from gbent.constructions import lift, regular_spread, spread_zqbent
 from gbent.errors import GbentError, InternalInconsistency
 from gbent.gbf import GeneralizedBooleanFunction, components, gwht
 from gbent.hadamard import row, zero_sum_quadruples
-from gbent.sweep import search_gbent
+from gbent.sweep import batch_direct_flat, search_gbent
 
 IP4 = [(x & 1) * ((x >> 2) & 1) ^ ((x >> 1) & 1) * ((x >> 3) & 1)
        for x in range(16)]
@@ -415,8 +418,55 @@ class TestZqBent:
 
     def test_routes_agree_exhaustive(self):
         for f in all_gbfs(2, 2):
-            rep = is_zq_bent(f)  # raises InternalInconsistency on disagreement
+            rep = is_zq_bent(f)
             assert rep.verdict == all(rep.per_a) == all(rep.per_t)
+
+    def test_matches_gwht_verdicts(self):
+        # each entry against the GWHT kernel run on the multiple or truncation:
+        # the batch call for whole families, gbent_verdict for single functions
+        rng = np.random.default_rng(2024)
+        families = [(2, k, np.array(list(itertools.product(range(1 << k), repeat=4))))
+                    for k in (2, 3)]
+        families += [(n, k, rng.integers(0, 1 << k, size=(100, 1 << n)))
+                     for n in (2, 4, 6) for k in range(1, 6)]
+        kinds = set()
+        for n, k, V in families:
+            per_a = np.stack([batch_direct_flat(n, k, V * a % (1 << k)).all(axis=1)
+                              for a in range(1, 1 << k)], axis=1)
+            per_t = np.stack([batch_direct_flat(n, k - t, V % (1 << (k - t))).all(axis=1)
+                              for t in range(k)], axis=1)
+            for values, want_a, want_t in zip(V, per_a, per_t):
+                rep = is_zq_bent(GeneralizedBooleanFunction(n, k, values))
+                assert (rep.per_a, rep.per_t) == (tuple(want_a), tuple(want_t))
+                kinds.add((rep.per_a[0], rep.verdict, any(rep.per_a)))
+        singles = [spread_zqbent(regular_spread(m), k,
+                                 rng.permutation(np.arange(1 << m) % (1 << k)))
+                   for m in range(3, 7) for k in (2, m)]
+        singles += [lift(SEED22, r) for r in range(3, 6)]
+        for f in singles:
+            rep = is_zq_bent(f)
+            assert rep.per_a == tuple(gbent_verdict(f.scale(a)) for a in range(1, 1 << f.k))
+            assert rep.per_t == tuple(gbent_verdict(f.truncate(t)) for t in range(f.k))
+            kinds.add((rep.per_a[0], rep.verdict, any(rep.per_a)))
+        # Z_q-bent, gbent but not Z_q-bent, and neither with some multiple gbent
+        assert {(True, True, True), (True, False, True), (False, False, True)} <= kinds
+
+    def test_difference_spectra_int64_extremes(self):
+        # f = 0 at n = 16 gives R_0(0) = 2^32, beyond what int32 products hold
+        n = 16
+        x = np.arange(1 << n)
+        rng = np.random.default_rng(5)
+        for k, values in ((1, np.zeros(1 << n, dtype=np.int64)),
+                          (2, rng.integers(0, 4, size=1 << n))):
+            R = _difference_spectra(values, k)
+            for u in (0, 1, 0xBEEF, (1 << n) - 1):
+                signs = 1 - 2 * (np.bitwise_count(x & u) & 1).astype(np.int64)
+                level = [int(signs[values == v].sum()) for v in range(1 << k)]
+                want = [sum(level[(v + c) % (1 << k)] * level[v] for v in range(1 << k))
+                        for c in range((1 << k) // 2 + 1)]
+                assert R[:, u].tolist() == want
+        assert R.dtype == np.int64
+        assert _difference_spectra(np.zeros(1 << n, dtype=np.int64), 1)[0, 0] == 1 << 32
 
     def test_coordinates_span(self):
         assert coordinates_span_bent(
@@ -448,3 +498,26 @@ class TestVerifyRds:
     def test_k_larger_than_n(self):
         f = GeneralizedBooleanFunction(2, 3, [0, 1, 2, 3])
         assert not verify_rds(f)
+
+    def test_matches_counting_oracle(self):
+        rng = np.random.default_rng(11)
+        spreads = [spread_zqbent(regular_spread(m), k,
+                                 rng.permutation(np.arange(1 << m) % (1 << k)))
+                   for m in (2, 3, 4) for k in range(1, m + 1)]
+        # one value moved off each spread function: a near miss
+        nudged = [GeneralizedBooleanFunction(f.n, f.k, np.where(
+            np.arange(1 << f.n) == 1 + i, (f.values + 1) % (1 << f.k), f.values))
+            for i, f in enumerate(spreads)]
+        # the same value counts on shuffled points: only the full counts decide
+        shuffled = [GeneralizedBooleanFunction(f.n, f.k, rng.permutation(f.values))
+                    for f in spreads]
+        corpus = itertools.chain(
+            all_gbfs(2, 1), all_gbfs(2, 2), spreads, nudged, shuffled,
+            (random_gbf(rng, n, k) for n in (2, 4, 6) for k in range(1, 5)
+             for _ in range(20)),          # k > n at n = 2: q > 2^n
+            (lift(SEED22, r) for r in (3, 4)))
+        verdicts = []
+        for f in corpus:
+            verdicts.append(verify_rds(f))
+            assert verdicts[-1] == rds_naive(f.values, f.n, f.k)
+        assert sum(verdicts) >= len(spreads)

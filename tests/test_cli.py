@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import gbent.boolfn
 import gbent.cyclotomic
 import gbent.gbf
-from gbent.analysis import is_gbent
+from gbent.analysis import is_gbent, is_zq_bent
 from gbent.boolfn import BooleanFunction
 from gbent.cli import main
 from gbent.constructions import regular_spread, spread_zqbent
@@ -127,8 +127,8 @@ class TestWorkCounts:
             code, out, _ = run(capsys, *argv)
             return code, out, dict(tally)
 
-        # one norm for the direct route, 18 for the Z_16-bent verdicts
-        assert counts("check", str(good)) == (0, "gbent, Z_16-bent: yes\n", {"norm": 19})
+        # one norm for the direct route; the Z_16-bent verdict takes none
+        assert counts("check", str(good)) == (0, "gbent, Z_16-bent: yes\n", {"norm": 1})
         assert counts("dual", str(good))[::2] == (0, {"norm": 2})
         assert counts("check", str(bad)) == (1, "not gbent\n", {"norm": 1})
 
@@ -141,6 +141,14 @@ class TestWorkCounts:
         for method in ("direct", "spectral", "quadruple"):
             start = lines.index(f"# method: {method}") + 3
             assert lines[start:start + len(table)] == table
+
+    def test_zq_makes_no_gwht(self, monkeypatch):
+        # both Z_q routes read the one difference spectrum
+        counts = {}
+        count_calls(monkeypatch, counts, "gwht_coeffs", gbent.gbf.gwht_coeffs)
+        count_calls(monkeypatch, counts, "norm", gbent.cyclotomic.norm_squared_coeffs)
+        assert is_zq_bent(spread_zqbent(regular_spread(4), 4, range(16))).verdict
+        assert counts == {"gwht_coeffs": 0, "norm": 0}
 
     def test_space_reads_one_component_walsh(self, capsys, tmp_path, monkeypatch):
         # every structure check reads the one component Walsh array
@@ -386,6 +394,14 @@ class TestExitContract:
         assert [r["verdict"] for r in routes] == [True] * 3
         assert routes[0]["per_u"] == routes[1]["per_u"] == routes[2]["per_u"]
 
+    def test_check_at_k11_lift(self, capsys, tmp_path, gbf22):
+        # gbent but not Z_2048-bent: all 2047 multiples are decided
+        code, out, _ = run(capsys, "lift", gbf22, "11")
+        assert code == 0
+        p = tmp_path / "k11.gbf"
+        p.write_text(out)
+        assert run(capsys, "check", str(p)) == (0, "gbent, Z_2048-bent: no\n", "")
+
     @pytest.mark.parametrize("entry", ["257", "-255"])
     def test_matrix_entry_not_a_bit(self, capsys, tmp_path, gbf22, entry):
         # 257 and -255 both wrap to 1 in uint8
@@ -438,12 +454,9 @@ def run_quiet(*argv):
 
 
 class TestFuzzedIntegers:
-    # k in 9..11 takes the paths of k = 8 and 12, but an even-n gbent hit
-    # there spends seconds on the 2^k - 1 multiples of its Z_q-bent verdict
     @settings(max_examples=80, deadline=None)
     @given(cmd=st.sampled_from(["check", "gwht"]),
-           k=st.one_of(st.integers(1, 8), st.just(12), TOKENS).filter(
-               lambda k: not 9 <= k <= 11),
+           k=st.one_of(st.integers(1, 12), TOKENS),
            table=st.integers(1, 3).flatmap(
                lambda n: st.tuples(st.just(n), st.lists(TOKENS, min_size=1 << n,
                                                         max_size=1 << n))))
