@@ -10,8 +10,8 @@ Three independent routes decide gbentness and must always agree:
   quadruple  component (semi-)bentness plus the product relations
              W_{g_j} W_{g_c} = W_{g_l} W_{g_v} on zero-sum index quadruples
 
-Each route is the F = 1 call of its batch kernel in the sweep module, so a
-single function and a sweep share one implementation.  The per-u
+Each route is the one-function call of its batch kernel in the sweep
+module, so a single function and a sweep share one implementation.  The per-u
 witness columns of a passing report (the Hadamard row index r(u), the
 sign, and for odd n which half of the component spectrum vanishes) are
 read off the same arrays: the GWHT coefficient rows for the direct route,
@@ -163,21 +163,31 @@ def is_gbent_direct(f: GeneralizedBooleanFunction) -> GbentReport:
 
 
 def _walsh_report(method: str, f: GeneralizedBooleanFunction, W: np.ndarray,
-                  failures: list[int]) -> GbentReport:
+                  halves: tuple | None, failures: list[int]) -> GbentReport:
     """Report with witnesses read off the component Walsh rows W(u).
 
     The sign and r are read from the entries at positions 0 and 2^s of W(u),
-    or of its nonvanishing half for odd n; the route's verdict never depends
-    on them.
+    or for odd n of its nonvanishing half, taken from halves =
+    split_halves(W); the route's verdict never depends on them.
     """
     if failures:
         return _report(method, f, (), failures)
     high = None
     if f.n % 2:
-        low_zero, _, W = split_halves(W)
+        low_zero, _, W = halves
         high = ~low_zero
     r, sign, _ = match_rows(W)
     return _report(method, f, _witnesses(r, sign, high), failures)
+
+
+def _component_walsh(f: GeneralizedBooleanFunction) -> np.ndarray:
+    """The (2^n, 2^{k-1}) component Walsh array of f, from the batch kernel.
+
+    The batch kernels take a (2^n, F) value table; this is the F = 1 call,
+    with the function axis dropped again.  perfbench's tracer sizes the
+    kernel's block from that two-axis table.
+    """
+    return batch_component_walsh(f.n, f.k, f.values[:, None])[..., 0]
 
 
 def is_gbent_spectral(f: GeneralizedBooleanFunction) -> GbentReport:
@@ -188,9 +198,10 @@ def is_gbent_spectral(f: GeneralizedBooleanFunction) -> GbentReport:
     exactly one half and be +-2^{(n+1)/2} times a row of H_{2^{k-2}} on the
     other.  For k=1 this degenerates to the plain bentness test.
     """
-    W = batch_component_walsh(f.n, f.k, f.values[None])
-    ok = batch_spectral_pass(f.n, f.k, W)[0]
-    return _walsh_report("spectral", f, W[0], np.flatnonzero(~ok).tolist())
+    W = _component_walsh(f)
+    halves = split_halves(W) if f.n % 2 else None
+    ok = batch_spectral_pass(f.n, f.k, W, halves)
+    return _walsh_report("spectral", f, W, halves, np.flatnonzero(~ok).tolist())
 
 
 def is_gbent_quadruple(f: GeneralizedBooleanFunction) -> GbentReport:
@@ -205,10 +216,11 @@ def is_gbent_quadruple(f: GeneralizedBooleanFunction) -> GbentReport:
     """
     if f.k < 2:
         raise GbentError(f"quadruple route needs k >= 2, got k={f.k}")
-    W = batch_component_walsh(f.n, f.k, f.values[None])
-    magnitudes, relations = quadruple_masks(f.n, W)
-    bad = ~magnitudes[0].all(axis=1) if not magnitudes.all() else ~relations[0]
-    return _walsh_report("quadruple", f, W[0], np.flatnonzero(bad).tolist())
+    W = _component_walsh(f)
+    halves = split_halves(W) if f.n % 2 else None
+    magnitudes, relations = quadruple_masks(f.n, W, halves)
+    bad = ~magnitudes.all(axis=1) if not magnitudes.all() else ~relations
+    return _walsh_report("quadruple", f, W, halves, np.flatnonzero(bad).tolist())
 
 
 def gbent_reports(f: GeneralizedBooleanFunction) -> tuple[GbentReport, ...]:
@@ -221,7 +233,7 @@ def gbent_reports(f: GeneralizedBooleanFunction) -> tuple[GbentReport, ...]:
 
 def gbent_verdict(f: GeneralizedBooleanFunction) -> bool:
     """Direct-route verdict alone: the F = 1 flatness kernel, no witnesses."""
-    return bool(batch_direct_flat(f.n, f.k, f.values[None]).all())
+    return bool(batch_direct_flat(f.n, f.k, f.values[:, None]).all())
 
 
 def is_gbent(f: GeneralizedBooleanFunction) -> bool:
@@ -286,6 +298,8 @@ def _majorities_pass(n: int, W: np.ndarray) -> bool:
 
     g_i + g_j + g_l + g_{i^j^l} = 0, so Carlet's identity gives each
     majority's spectrum from four columns of W, in blocks of about 2 MB.
+    bent_space_report runs it for odd n only; for even n it is the test
+    reference of the product relations (see bent_space_report).
     """
     m = W.shape[1]
     J, L = np.triu_indices(m, 1)        # pairs j < l, sorted by j
@@ -305,14 +319,27 @@ def bent_space_report(f: GeneralizedBooleanFunction) -> BentSpaceReport:
     All of it is read off one component Walsh array W.  For bent members
     g_j* + g_c* + g_l* + g_v* = 0 at u exactly when W_j W_c = W_l W_v there,
     so dual-sum closure is the quadruple route's product relations.
+
+    For even n majority closure is the same condition.  The majority of
+    g_i, g_j, g_l has the spectrum (W_i + W_j + W_l - W_v) / 2 with
+    v = i^j^l (Carlet's identity).  When every W_t(u) = +-c, that sum of four
+    signed c's has magnitude 2c exactly when an odd number of its terms
+    are negative, that is when W_i W_j W_l (-W_v) = -c^4, or
+    W_i W_j = W_l W_v.  The triples i < j < l run over every 2-flat
+    {i, j, l, v}, so all majorities are bent exactly when the product
+    relations hold, and mesnager_closed is dual_sum_closed.  For odd n the
+    majorities are tested one block of triples at a time.
     """
     if f.k < 2:
         raise GbentError(f"bent space structure needs k >= 2, got k={f.k}")
     W = component_walsh_matrix(f)
     even = f.n % 2 == 0
     is_space = bool(_magnitudes(f.n, W).all())
-    dual_sum_closed = bool(is_space and products_hold(W).all()) if even else None
-    mesnager_closed = is_space and _majorities_pass(f.n, W)
+    if even:
+        dual_sum_closed = mesnager_closed = bool(is_space and products_hold(W).all())
+    else:
+        dual_sum_closed = None
+        mesnager_closed = is_space and _majorities_pass(f.n, W)
 
     split_mask: int | None = None
     if not even:
@@ -464,7 +491,8 @@ def verify_rds(f: GeneralizedBooleanFunction) -> bool:
     totals = lin[q - 1:] + np.concatenate(([0], lin[:q - 1]))
     if (totals != lam * (size - 1) + size * (np.arange(q) == 0)).any():
         return False
-    counts = fwht_(_difference_spectra(f.values, f.k), axis=-1)
+    # the butterfly runs down contiguous rows, so count with d on axis 0
+    counts = fwht_(np.ascontiguousarray(_difference_spectra(f.values, f.k).T), axis=0)
     if (counts & (size - 1)).any():
         raise InternalInconsistency("difference counts: 2^n N_c(d) not divisible by 2^n")
-    return bool(((counts[:, 1:] >> f.n) == lam).all())
+    return bool(((counts[1:] >> f.n) == lam).all())

@@ -210,27 +210,29 @@ def sqrt2_decompose(k: int, j: int) -> Sqrt2Decomposition:
 
 
 def norm_squared_coeffs(C: np.ndarray) -> np.ndarray:
-    """Batch |a|^2 for coefficient arrays, last axis the power basis.
+    """Batch |a|^2 for coefficient arrays, axis 1 the power basis.
 
-    C has shape (..., M) with M = 2^{k-1}; returns the coefficient array of
-    a * conj(a) per entry, same shape.  out[..., 0] = sum_l c_l^2 and for
-    t >= 1 out[..., t] = sum_{l <= M-1-t} c_{l+t} c_l - sum_{l >= M-t} c_{l+t-M} c_l,
+    C has shape (P, M, ...) with M = 2^{k-1}: one coefficient row per point,
+    then any trailing axes (the functions of a batch).  Returns the
+    coefficient array of a * conj(a) per entry, same shape.
+    out[:, 0] = sum_l c_l^2 and for t >= 1
+    out[:, t] = sum_{l <= M-1-t} c_{l+t} c_l - sum_{l >= M-t} c_{l+t-M} c_l,
     the negacyclic autocorrelation.  Since |a|^2 is real and conj sends
-    zeta^t to -zeta^{M-t}, out[..., M-t] = -out[..., t] and out[..., M/2] = 0,
+    zeta^t to -zeta^{M-t}, out[:, M-t] = -out[:, t] and out[:, M/2] = 0,
     so only t < M/2 is formed.
 
     Layout: one basis-major copy of C puts each basis coefficient in its own
     contiguous plane, and each formed t is two whole-plane einsums, so a call
     makes O(M) numpy calls.  The result is a view of the basis-major output
-    with the basis moved back to the last axis.
+    with the basis moved back to axis 1.
 
     Exact in the input dtype (int64 for every caller): each output entry and
     each partial sum is at most sum_l c_l^2 in magnitude (Cauchy-Schwarz), so
     int64 is safe while that stays below 2^63.  GWHT rows have
     sum_l |c_l| <= 2^n, hence norms <= 2^{2n} <= 2^48 for n <= 24.
     """
-    M = C.shape[-1]
-    P = np.ascontiguousarray(np.moveaxis(C, -1, 0))
+    M = C.shape[1]
+    P = np.ascontiguousarray(np.moveaxis(C, 1, 0))
     out = np.empty_like(P)
     for t in range(max(1, M // 2)):
         out[t] = np.einsum("i...,i...->...", P[t:], P[: M - t])
@@ -239,4 +241,4 @@ def norm_squared_coeffs(C: np.ndarray) -> np.ndarray:
     if M > 1:
         out[M // 2] = 0
         out[M // 2 + 1:] = -out[M // 2 - 1: 0: -1]
-    return np.moveaxis(out, 0, -1)
+    return np.moveaxis(out, 0, 1)

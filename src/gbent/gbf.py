@@ -19,8 +19,12 @@ The GWHT itself is computed exactly: each value zeta^{f(x)} is a signed
 basis vector of Z[zeta_{2^k}], the whole spectrum is one integer coefficient
 matrix of shape (2^n, 2^{k-1}), and the transform is a butterfly down the
 position axis.  The array functions (zeta_powers, gwht_coeffs,
-component_signs, component_walsh, flat_mask) work over leading axes, so one function and a
-batch of F functions run through the same code.
+component_signs, component_walsh, flat_mask) take the function axis last:
+a value table of shape (2^n,) or a batch of shape (2^n, F) gives arrays of
+shape (2^n, 2^{k-1}) or (2^n, 2^{k-1}, F), indexed by point, basis power or
+component, then function.  One function and a batch run through the same
+code, and every test over the basis or component axis is an elementwise
+operation on contiguous rows of F entries.
 """
 
 from __future__ import annotations
@@ -143,27 +147,30 @@ def assemble(coords) -> GeneralizedBooleanFunction:
 
 
 def component_signs(V: np.ndarray, k: int) -> np.ndarray:
-    """(-1)^{g_i(x)} for value tables over leading axes: shape (..., 2^n, 2^{k-1}).
+    """(-1)^{g_i(x)} for value tables V of shape (2^n, ...): shape (2^n, 2^{k-1}, ...).
 
     Entry (x, i) is (-1)^{a_{k-1}(x)} times the Hadamard row indexed by the
     low k-1 bits of f(x), since g_i(x) = a_{k-1}(x) xor (bits of i).(low bits
-    of f(x)).  For k = 1 the single column is (-1)^{a_0(x)}.
+    of f(x)).  For k = 1 the single component is (-1)^{a_0(x)}.  Each
+    component is one gather from its row of that sign table over Z_{2^k}.
     """
     m = 1 << (k - 1)
-    low = (V & (m - 1)).astype(np.uint32)
-    top = (V >> (k - 1)).astype(np.int64)
-    i = np.arange(m, dtype=np.uint32)
-    rows = 1 - 2 * (np.bitwise_count(low[..., None] & i) & 1).astype(np.int64)
-    return (1 - 2 * top)[..., None] * rows
+    v = np.arange(1 << k, dtype=np.uint32)
+    i = np.arange(m, dtype=np.uint32)[:, None]
+    table = 1 - 2 * ((v >> (k - 1)) ^ (np.bitwise_count(v & i) & 1)).astype(np.int64)
+    S = np.empty(V.shape[:1] + (m,) + V.shape[1:], dtype=np.int64)
+    for c in range(m):
+        np.take(table[c], V, out=S[:, c])
+    return S
 
 
 def component_walsh(V: np.ndarray, k: int) -> np.ndarray:
-    """W_{g_i}(u) for value tables over leading axes: shape (..., 2^n, 2^{k-1}).
+    """W_{g_i}(u) for value tables V of shape (2^n, ...): shape (2^n, 2^{k-1}, ...).
 
     The butterfly of component_signs down the position axis.
     """
     S = component_signs(V, k)
-    fwht_(S, axis=-2)
+    fwht_(S, axis=0)
     return S
 
 
@@ -233,38 +240,39 @@ class GwhtSpectrum:
 
 
 def zeta_powers(V: np.ndarray, k: int) -> np.ndarray:
-    """zeta^{f(x)} as power-basis rows for value tables over leading axes.
+    """zeta^{f(x)} as power-basis rows for value tables V of shape (2^n, ...).
 
     zeta^v is +-1 times a basis power (sign from the top bit of v), so the
-    result, of shape (..., 2^n, 2^{k-1}), has one +-1 entry per row.
+    result, of shape (2^n, 2^{k-1}, ...), has one +-1 entry per row.
     """
     m = 1 << (k - 1)
-    low = (V & (m - 1)).astype(np.int64)
-    sign = (1 - 2 * (V >> (k - 1))).astype(np.int64)
-    Z = np.zeros(V.shape + (m,), dtype=np.int64)
-    np.put_along_axis(Z, low[..., None], sign[..., None], axis=-1)
+    low = (V & (m - 1)).astype(np.int64, copy=False)[:, None]
+    sign = (1 - 2 * (V >> (k - 1))).astype(np.int64, copy=False)[:, None]
+    Z = np.zeros(V.shape[:1] + (m,) + V.shape[1:], dtype=np.int64)
+    np.put_along_axis(Z, low, sign, axis=1)
     return Z
 
 
 def gwht_coeffs(V: np.ndarray, k: int) -> np.ndarray:
-    """H_f(u) coefficient rows for value tables over leading axes.
+    """H_f(u) coefficient rows for value tables V of shape (2^n, ...).
 
     The butterfly down the position axis of zeta_powers sums the character
-    terms coefficientwise: shape (..., 2^n, 2^{k-1}), int64 with every
+    terms coefficientwise: shape (2^n, 2^{k-1}, ...), int64 with every
     coefficient bounded by 2^n.
     """
     Z = zeta_powers(V, k)
-    fwht_(Z, axis=-2)
+    fwht_(Z, axis=0)
     return Z
 
 
 def flat_mask(n: int, norms: np.ndarray) -> np.ndarray:
-    """|H(u)|^2 = 2^n exactly, over the leading axes of a norm array.
+    """|H(u)|^2 = 2^n exactly, for a norm array of shape (2^n, 2^{k-1}, ...).
 
     norms holds |H(u)|^2 coefficient rows, as norm_squared_coeffs returns
-    them; the caller computes them once and may reuse them.
+    them; the caller computes them once and may reuse them.  The mask has
+    shape (2^n, ...).
     """
-    return (norms[..., 0] == 1 << n) & (norms[..., 1:] == 0).all(axis=-1)
+    return (norms[:, 0] == 1 << n) & (norms[:, 1:] == 0).all(axis=1)
 
 
 def gwht(f: GeneralizedBooleanFunction) -> GwhtSpectrum:

@@ -54,27 +54,35 @@ def _validate_pm1(w) -> np.ndarray:
 
 
 def match_rows(W: np.ndarray, c: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed-row match along the last axis: (r, sign, ok) per leading index.
+    """Signed-row match along axis 1: (r, sign, ok) per index of the other axes.
 
-    The sign is that of W[..., 0] and bit s of r is set where
-    sign * W[..., 2^s] < 0, since H^{(r)}[2^s] = (-1)^{r_s}; ok holds
-    exactly where W == sign * c * H^{(r)} entrywise.
+    W has shape (P, m, ...): one vector of length m per point, then any
+    trailing axes (the functions of a batch); r, sign and ok have shape
+    (P, ...).  The sign is that of W[:, 0] and bit s of r is set where
+    sign * W[:, 2^s] < 0, since H^{(r)}[2^s] = (-1)^{r_s}; ok holds exactly
+    where W[:, j] == sign * c * (-1)^{popcount(r & j)} for every j.  That
+    expected entry is built up bit by bit: the entries for j + 2^s, j < 2^s,
+    are those for j times (-1)^{r_s}.
     """
-    m = W.shape[-1]
-    bits = m.bit_length() - 1
-    H = np.stack([row(bits, r) for r in range(m)])
-    sign = np.where(W[..., 0] > 0, 1, -1).astype(np.int64)
-    r = np.zeros(W.shape[:-1], dtype=np.int64)
-    for s in range(bits):
-        r |= ((sign * W[..., 1 << s]) < 0).astype(np.int64) << s
-    ok = (W == sign[..., None] * c * H[r]).all(axis=-1)
+    m = W.shape[1]
+    sign = np.where(W[:, 0] > 0, 1, -1).astype(np.int64)
+    r = np.zeros(sign.shape, dtype=np.int64)
+    expect = [sign * c]
+    for s in range(m.bit_length() - 1):
+        bit = (sign * W[:, 1 << s]) < 0
+        r |= bit.astype(np.int64) << s
+        flip = 1 - 2 * bit.astype(np.int64)
+        expect += [e * flip for e in expect]
+    ok = W[:, 0] == expect[0]
+    for j in range(1, m):
+        ok &= W[:, j] == expect[j]
     return r, sign, ok
 
 
 def match_row(w) -> RowMatch | None:
     """Identify w as a signed Sylvester-Hadamard row, or None."""
-    r, sign, ok = match_rows(_validate_pm1(w))
-    return RowMatch(int(r), int(sign)) if ok else None
+    r, sign, ok = match_rows(_validate_pm1(w)[None])
+    return RowMatch(int(r[0]), int(sign[0])) if ok[0] else None
 
 
 @lru_cache(maxsize=None)
@@ -105,23 +113,24 @@ def zero_sum_quadruples(size: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def products_hold(W: np.ndarray) -> np.ndarray:
-    """w_0 w_i == w_j w_{i^j} on every 2-flat {0, i, j, i^j} of the last axis.
+    """w_0 w_i == w_j w_{i^j} on every 2-flat {0, i, j, i^j} of axis 1.
 
-    These (m-1)(m-2)/6 zero-sum relations through index 0 imply all
-    m(m-1)(m-2)/24 when every |w_t| is one c > 0, which each caller also
-    checks.  Proof: then a relation on a 2-flat {a, b, d, e} says
-    w_a w_b w_d w_e = c^4 in any pairing, so chi(i) = w_0 w_i / c^2 has
+    W has shape (P, m, ...) like match_rows takes it, and the result has
+    shape (P, ...).  These (m-1)(m-2)/6 zero-sum relations through index 0
+    imply all m(m-1)(m-2)/24 when every |w_t| is one c > 0, which each
+    caller also checks.  Proof: then a relation on a 2-flat {a, b, d, e}
+    says w_a w_b w_d w_e = c^4 in any pairing, so chi(i) = w_0 w_i / c^2 has
     chi(i) chi(j) = w_i w_j / c^2 = w_0 w_{i^j} / c^2 = chi(i^j): a
     character.  So w_t = (c^2 / w_0) chi(t), and w_j w_c w_l w_v = c^4 on
     every zero-sum quadruple.  Each flat is taken once, as 0 < i < j < i^j;
     i^j > j says that j lacks the top bit of i, so no j is left for i >= m/2.
     """
-    m = W.shape[-1]
-    out = np.ones(W.shape[:-1], dtype=bool)
+    m = W.shape[1]
+    out = np.ones(W.shape[:1] + W.shape[2:], dtype=bool)
     for i in range(1, m // 2):
         j = np.arange(i + 1, m)
         j = j[(j & (1 << (i.bit_length() - 1))) == 0]
-        out &= (W[..., :1] * W[..., i:i + 1] == W[..., j] * W[..., i ^ j]).all(axis=-1)
+        out &= (W[:, :1] * W[:, i:i + 1] == W[:, j] * W[:, i ^ j]).all(axis=1)
     return out
 
 
@@ -132,4 +141,4 @@ def quadruple_condition(w) -> bool:
     vectors shorter than 8 satisfy it vacuously or via the single quadruple
     (0,1,2,3).
     """
-    return bool(products_hold(_validate_pm1(w)))
+    return bool(products_hold(_validate_pm1(w)[None])[0])

@@ -13,6 +13,7 @@ from gbent.analysis import (
     BentSpaceReport,
     GbentReport,
     _difference_spectra,
+    _majorities_pass,
     bent_space_report,
     carlet_walsh_identity,
     coordinates_span_bent,
@@ -31,7 +32,7 @@ from gbent.cyclotomic import CyclotomicInt
 zeta_pow = CyclotomicInt.zeta_pow
 from gbent.constructions import lift, regular_spread, spread_zqbent
 from gbent.errors import GbentError, InternalInconsistency
-from gbent.gbf import GeneralizedBooleanFunction, components, gwht
+from gbent.gbf import GeneralizedBooleanFunction, component_walsh_matrix, components, gwht
 from gbent.hadamard import row, zero_sum_quadruples
 from gbent.sweep import batch_direct_flat, search_gbent
 
@@ -298,7 +299,8 @@ class TestReportFormat:
                 raise SystemExit("contradictory report accepted")
             except InternalInconsistency:
                 pass
-            sweep.batch_spectral_pass = lambda n, k, W: np.zeros(W.shape[:-1], bool)
+            sweep.batch_spectral_pass = lambda n, k, W, halves: np.zeros(
+                W.shape[:1] + W.shape[2:], bool)
             try:
                 sweep.search_gbent(2, 2)
                 raise SystemExit("search returned hits the routes disagree on")
@@ -358,6 +360,27 @@ class TestBentSpace:
         # for n = k = 2 the full structural report is equivalent to gbentness
         for f in all_gbfs(2, 2):
             assert bent_space_report(f).all_hold == is_gbent_direct(f).verdict
+
+    def test_even_majority_closure_is_dual_sum_closure(self, rng):
+        # the Carlet-triple pass, which decides odd n, is the reference
+        fams = [SEED43, BENT_NOT_GBENT] + [lift(SEED22, r) for r in range(2, 9)]
+        fams += [lift(SEED43, r) for r in (4, 5)]
+        fams += [spread_zqbent(regular_spread(m), k,
+                               rng.permutation(np.arange(1 << m) % (1 << k)))
+                 for m in (2, 3, 4) for k in range(1, m + 1) if k >= 2]
+        changed = []
+        for f in fams:
+            values = f.values.copy()
+            x = int(rng.integers(0, len(values)))
+            values[x] = (values[x] + int(rng.integers(1, 1 << f.k))) % (1 << f.k)
+            changed.append(GeneralizedBooleanFunction(f.n, f.k, values))
+        seen = set()
+        for f in fams + changed:
+            rep = bent_space_report(f)
+            want = rep.is_affine_bent_space and _majorities_pass(f.n, component_walsh_matrix(f))
+            assert rep.mesnager_closed == want == rep.dual_sum_closed, f.to_text()
+            seen.add((rep.is_affine_bent_space, want))
+        assert seen == {(True, True), (True, False), (False, False)}
 
     def test_rejects_k1(self):
         f = GeneralizedBooleanFunction(2, 1, [0, 0, 0, 1])
@@ -431,9 +454,9 @@ class TestZqBent:
                      for n in (2, 4, 6) for k in range(1, 6)]
         kinds = set()
         for n, k, V in families:
-            per_a = np.stack([batch_direct_flat(n, k, V * a % (1 << k)).all(axis=1)
+            per_a = np.stack([batch_direct_flat(n, k, V.T * a % (1 << k)).all(axis=0)
                               for a in range(1, 1 << k)], axis=1)
-            per_t = np.stack([batch_direct_flat(n, k - t, V % (1 << (k - t))).all(axis=1)
+            per_t = np.stack([batch_direct_flat(n, k - t, V.T % (1 << (k - t))).all(axis=0)
                               for t in range(k)], axis=1)
             for values, want_a, want_t in zip(V, per_a, per_t):
                 rep = is_zq_bent(GeneralizedBooleanFunction(n, k, values))

@@ -112,24 +112,27 @@ class TestNormSquared:
         assert (I(3, 1) + Z(3, 1)).as_rational() is None
 
     def test_batch_matches_scalar(self, rng):
-        # leading shapes (), (F,) and (F, N); coefficients up to 2^24, the
-        # n <= 24 bound, so products reach 2^48; strided and moved-axis views
+        # the basis on axis 1 of shapes (P, m), (P, m, F) and (P, m, F, N);
+        # coefficients up to 2^24, the n <= 24 bound, so products reach 2^48;
+        # strided and moved-axis views
         for k in range(1, 8):
             m = 1 << (k - 1)
-            for lead in [(), (5,), (3, 4)]:
+            for points, trail in [(1, ()), (5, ()), (3, (4,)), (2, (3, 2))]:
                 for bound in (20, 1 << 24):
-                    C = rng.integers(-bound, bound + 1, size=lead + (m,), dtype=np.int64)
-                    views = [C, np.moveaxis(np.ascontiguousarray(np.moveaxis(C, -1, 0)), 0, -1)]
-                    if lead:
-                        views.append(np.repeat(C, 2, axis=0)[::2])
+                    C = rng.integers(-bound, bound + 1, size=(points, m) + trail, dtype=np.int64)
+                    views = [C, np.moveaxis(np.ascontiguousarray(np.moveaxis(C, 1, 0)), 0, 1),
+                             np.repeat(C, 2, axis=0)[::2]]
+                    if trail:
+                        views.append(np.moveaxis(np.ascontiguousarray(np.moveaxis(C, 1, -1)), -1, 1))
                     for V in views:
                         before = V.copy()
                         batch = norm_squared_coeffs(V)
                         assert np.array_equal(V, before)
                         assert batch.shape == V.shape
-                        for idx in np.ndindex(*lead):
-                            scalar = norm_squared(CyclotomicInt(k, tuple(int(c) for c in V[idx])))
-                            assert tuple(int(c) for c in batch[idx]) == scalar.coeffs
+                        for idx in np.ndindex(points, *trail):
+                            at = (idx[0], slice(None)) + idx[1:]
+                            scalar = norm_squared(CyclotomicInt(k, tuple(int(c) for c in V[at])))
+                            assert tuple(int(c) for c in batch[at]) == scalar.coeffs
 
 
 class TestSqrt2Decompose:

@@ -1,5 +1,8 @@
 """Batch sweep kernels against the naive oracles and the consensus verdict."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,10 @@ from gbent.sweep import (
     batch_quadruple_verdict,
     batch_spectral_pass,
     exhaustive_values,
+    quadruple_masks,
     random_values,
     search_gbent,
+    split_halves,
     sweep_exhaustive,
     sweep_three_routes,
 )
@@ -30,28 +35,70 @@ def naive_flat(n, k, values):
                      for u in range(1 << n)])
 
 
+KERNEL_SHAPES = [(2, 1), (3, 1), (2, 2), (3, 2), (4, 3), (3, 3), (4, 4), (5, 4)]
+
+# sha256 of the concatenated verdict bytes, gbent count and mismatch count,
+# as the kernels gave them before the function axis moved last
+PINNED_SWEEPS = {
+    "GB_2^16": (1408, 0, "308ce92ddbe9cdb1c31ce26e39eb47946414ec5d8683e649cbb5ad4baeb24956"),
+    "GB_3^4": (896, 0, "6f41ea689d187c39d494702b819ae47ebd6e2da1a2117ee06061d26ed95fbc68"),
+    "GB_3^8 first 64 chunks": (
+        96, 0, "53a1560c8c4e7b948c849d7fec826a4c3d0f7ddca451f352d0b570889509ae71"),
+}
+
+
+def pinned_sweep(name):
+    if name == "GB_2^16":
+        return [sweep_exhaustive(2, 4)]
+    if name == "GB_3^4":
+        return [sweep_exhaustive(3, 2)]
+    return [sweep_three_routes(3, 3, V)
+            for V in itertools.islice(exhaustive_values(3, 3), 64)]
+
+
 class TestBatchKernels:
-    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (2, 2), (3, 2),
-                                     (4, 3), (3, 3), (4, 4), (5, 4)])
+    @pytest.mark.parametrize("n,k", KERNEL_SHAPES)
     def test_matches_scalar_routes(self, rng, n, k):
         # the scalar reference is the per-u definitional sum, not a route
         V = random_values(rng, n, k, 40)
-        direct = batch_direct_flat(n, k, V)
-        W = batch_component_walsh(n, k, V)
-        spectral = batch_spectral_pass(n, k, W)
+        direct = batch_direct_flat(n, k, V.T)
+        W = batch_component_walsh(n, k, V.T)
+        halves = split_halves(W) if n % 2 else None
+        spectral = batch_spectral_pass(n, k, W, halves)
         if k >= 2:
-            quad = batch_quadruple_verdict(n, k, W)
+            quad = batch_quadruple_verdict(n, k, W, halves)
         for i in range(len(V)):
             want = naive_flat(n, k, V[i])
-            assert (direct[i] == want).all()
-            assert (spectral[i] == want).all()
+            assert (direct[:, i] == want).all()
+            assert (spectral[:, i] == want).all()
             if k >= 2:
                 assert quad[i] == want.all()
+
+    @pytest.mark.parametrize("n,k", KERNEL_SHAPES)
+    def test_batch_is_stack_of_single_calls(self, rng, n, k):
+        # a 1-D value table has the batch layout without the function axis
+        V = random_values(rng, n, k, 40)
+        hits, _ = search_gbent(n, k, count=4000, rng=rng)
+        V = np.vstack([V] + [f.values for f in hits[:8]])
+
+        def kernels(values):
+            W = batch_component_walsh(n, k, values)
+            halves = split_halves(W) if n % 2 else None
+            out = [batch_direct_flat(n, k, values), W, batch_spectral_pass(n, k, W, halves)]
+            if k >= 2:
+                out += quadruple_masks(n, W, halves)
+            return out
+
+        batch = kernels(np.ascontiguousarray(V.T))
+        for i, values in enumerate(V):
+            for got, want in zip(batch, kernels(values), strict=True):
+                assert got.shape[-1] == len(V)
+                assert np.array_equal(got[..., i], want)
 
     def test_component_walsh_values(self, rng):
         for n, k in [(2, 1), (3, 2), (3, 3), (4, 4)]:
             V = random_values(rng, n, k, 5)
-            W = batch_component_walsh(n, k, V)
+            W = batch_component_walsh(n, k, V.T)
             for i, values in enumerate(V):
                 bits = [(values >> j) & 1 for j in range(k)]
                 for c in range(1 << (k - 1)):
@@ -61,7 +108,7 @@ class TestBatchKernels:
                         if (c >> j) & 1:
                             g ^= bits[j]
                     want = wht_naive(BooleanFunction(n, g.astype(np.uint8)))
-                    assert (W[i, :, c] == want).all()
+                    assert (W[:, c, i] == want).all()
 
 
 class TestSweep:
@@ -96,6 +143,17 @@ class TestSweep:
         for i in range(30):
             assert res.verdicts[i] == is_gbent(
                 GeneralizedBooleanFunction(4, 3, V[i]))
+
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+    def test_pinned_verdicts(self, name):
+        parts = pinned_sweep(name)
+        verdicts = np.concatenate([res.verdicts for res in parts])
+        got = (sum(res.gbent_count for res in parts),
+               sum(len(res.mismatches) for res in parts),
+               hashlib.sha256(verdicts.tobytes()).hexdigest())
+        assert verdicts.dtype == bool
+        assert got == PINNED_SWEEPS[name]
 
 
 class TestEnumeration:
