@@ -144,7 +144,6 @@ class TestSweep:
             assert res.verdicts[i] == is_gbent(
                 GeneralizedBooleanFunction(4, 3, V[i]))
 
-
     @pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
     def test_pinned_verdicts(self, name):
         parts = pinned_sweep(name)
