@@ -30,6 +30,9 @@ R_c(u) = sum_v I_{v+c}(u) I_v(u) of the level-set Walsh transforms I_v:
 |H_{a f}(u)|^2 = sum_c zeta^{a c} R_c(u) exactly, and the inverse Walsh
 transform of R_c counts the x with f(x) - f(x + d) = c.  R is int64 with
 every entry, and every coefficient folded from it, at most 2^{2n} <= 2^48.
+
+Component Walsh arrays come in spectrum_dtype(n) (see the gbf module); sums
+of their entries are taken one step wider.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, WalshSpectrum, fwht_, wht
+from .boolfn import BooleanFunction, WalshSpectrum, _wider, fwht_, spectrum_dtype, wht
 from .errors import GbentError, InternalInconsistency
 from .gbf import (
     GeneralizedBooleanFunction,
@@ -180,14 +183,29 @@ def _walsh_report(method: str, f: GeneralizedBooleanFunction, W: np.ndarray,
     return _report(method, f, _witnesses(r, sign, high), failures)
 
 
-def _component_walsh(f: GeneralizedBooleanFunction) -> np.ndarray:
-    """The (2^n, 2^{k-1}) component Walsh array of f, from the batch kernel.
+def _component_walsh(f: GeneralizedBooleanFunction) -> tuple[np.ndarray, tuple | None]:
+    """(W, halves): the (2^n, 2^{k-1}) component Walsh array of f and, for
+    odd n, split_halves(W); the two Walsh routes take both.
 
     The batch kernels take a (2^n, F) value table; this is the F = 1 call,
     with the function axis dropped again.  perfbench's tracer sizes the
     kernel's block from that two-axis table.
     """
-    return batch_component_walsh(f.n, f.k, f.values[:, None])[..., 0]
+    W = batch_component_walsh(f.n, f.k, f.values[:, None])[..., 0]
+    return W, split_halves(W) if f.n % 2 else None
+
+
+def _spectral_report(f: GeneralizedBooleanFunction, W: np.ndarray,
+                     halves: tuple | None) -> GbentReport:
+    ok = batch_spectral_pass(f.n, f.k, W, halves)
+    return _walsh_report("spectral", f, W, halves, np.flatnonzero(~ok).tolist())
+
+
+def _quadruple_report(f: GeneralizedBooleanFunction, W: np.ndarray,
+                      halves: tuple | None) -> GbentReport:
+    magnitudes, relations = quadruple_masks(f.n, W, halves)
+    bad = ~magnitudes.all(axis=1) if not magnitudes.all() else ~relations
+    return _walsh_report("quadruple", f, W, halves, np.flatnonzero(bad).tolist())
 
 
 def is_gbent_spectral(f: GeneralizedBooleanFunction) -> GbentReport:
@@ -198,10 +216,7 @@ def is_gbent_spectral(f: GeneralizedBooleanFunction) -> GbentReport:
     exactly one half and be +-2^{(n+1)/2} times a row of H_{2^{k-2}} on the
     other.  For k=1 this degenerates to the plain bentness test.
     """
-    W = _component_walsh(f)
-    halves = split_halves(W) if f.n % 2 else None
-    ok = batch_spectral_pass(f.n, f.k, W, halves)
-    return _walsh_report("spectral", f, W, halves, np.flatnonzero(~ok).tolist())
+    return _spectral_report(f, *_component_walsh(f))
 
 
 def is_gbent_quadruple(f: GeneralizedBooleanFunction) -> GbentReport:
@@ -216,18 +231,20 @@ def is_gbent_quadruple(f: GeneralizedBooleanFunction) -> GbentReport:
     """
     if f.k < 2:
         raise GbentError(f"quadruple route needs k >= 2, got k={f.k}")
-    W = _component_walsh(f)
-    halves = split_halves(W) if f.n % 2 else None
-    magnitudes, relations = quadruple_masks(f.n, W, halves)
-    bad = ~magnitudes.all(axis=1) if not magnitudes.all() else ~relations
-    return _walsh_report("quadruple", f, W, halves, np.flatnonzero(bad).tolist())
+    return _quadruple_report(f, *_component_walsh(f))
 
 
 def gbent_reports(f: GeneralizedBooleanFunction) -> tuple[GbentReport, ...]:
-    """All applicable routes: three for k >= 2, two for k = 1."""
-    reports = [is_gbent_direct(f), is_gbent_spectral(f)]
+    """All applicable routes: three for k >= 2, two for k = 1.
+
+    The spectral and quadruple routes apply their own tests to one
+    component Walsh array, computed once here.
+    """
+    direct = is_gbent_direct(f)
+    W, halves = _component_walsh(f)
+    reports = [direct, _spectral_report(f, W, halves)]
     if f.k >= 2:
-        reports.append(is_gbent_quadruple(f))
+        reports.append(_quadruple_report(f, W, halves))
     return tuple(reports)
 
 
@@ -286,8 +303,14 @@ class BentSpaceReport:
 
 
 def _majority_walsh(w0, w1, w2, w3) -> np.ndarray:
-    """Carlet's identity (w0 + w1 + w2 - w3) / 2, exact when g0 + g1 + g2 + g3 = 0."""
-    total = w0 + w1 + w2 - w3
+    """Carlet's identity (w0 + w1 + w2 - w3) / 2, exact when g0 + g1 + g2 + g3 = 0.
+
+    The sum, up to 4 2^n in magnitude, is taken one step wider than the
+    spectra's dtype.
+    """
+    total = np.add(w0, w1, dtype=_wider(np.result_type(w0, w1, w2, w3)))
+    total += w2
+    total -= w3
     if (total & 1).any():
         raise InternalInconsistency("majority Walsh identity sum is odd")
     return total >> 1
@@ -394,12 +417,13 @@ def _difference_spectra(values: np.ndarray, k: int) -> np.ndarray:
     transform of R_c counts the x with f(x) - f(x + d) = c.  R_{-c} = R_c, so
     the rows c <= 2^{k-1} formed here determine R, and no caller needs the rest.
 
-    Exact: |I_v(u)| <= 2^n <= 2^24 fits int32, every product is taken in
-    int64, and |R_c(u)| <= (sum_v |I_v(u)|)^2 <= 2^{2n} <= 2^48, which bounds
-    each partial sum as well.
+    Exact: I is built in spectrum_dtype(n), which holds |I_v(u)| <= 2^n,
+    every product is taken in int64, and
+    |R_c(u)| <= (sum_v |I_v(u)|)^2 <= 2^{2n} <= 2^48, which bounds each
+    partial sum as well.
     """
     q, size = 1 << k, values.shape[-1]
-    I = np.zeros((size, q), dtype=np.int32)
+    I = np.zeros((size, q), dtype=spectrum_dtype(size.bit_length() - 1))
     I[np.arange(size), values] = 1
     # the butterfly runs down contiguous rows; the products want value rows
     I = np.ascontiguousarray(fwht_(I, axis=0).T)

@@ -48,6 +48,25 @@ def fwht_(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return a
 
 
+def spectrum_dtype(n: int) -> np.dtype:
+    """The smallest signed integer type that holds +-2^n, the bound of every
+    Walsh or GWHT coefficient over 2^n points and of every partial sum of
+    their butterflies (the dtype rule is stated in the gbf module)."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= 1 << n)
+
+
+def _wider(dtype) -> np.dtype:
+    """The signed integer type one step wider than dtype: int8 -> int16 ->
+    int32 -> int64, int64 staying int64.
+
+    Products and short sums of spectrum entries are taken here: entries of
+    magnitude at most 2^n in spectrum_dtype(n) give products of at most
+    2^{2n} and four-term sums of at most 4 2^n, and both fit the next type.
+    """
+    return np.dtype({1: np.int16, 2: np.int32}.get(np.dtype(dtype).itemsize, np.int64))
+
+
 @dataclass(frozen=True, eq=False)
 class BooleanFunction:
     """Truth table of a map V_n -> F_2, the atom of all spectral analysis.

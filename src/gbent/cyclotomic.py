@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boolfn import _wider
 from .errors import GbentError, InternalInconsistency
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -226,13 +227,17 @@ def norm_squared_coeffs(C: np.ndarray) -> np.ndarray:
     makes O(M) numpy calls.  The result is a view of the basis-major output
     with the basis moved back to axis 1.
 
-    Exact in the input dtype (int64 for every caller): each output entry and
-    each partial sum is at most sum_l c_l^2 in magnitude (Cauchy-Schwarz), so
-    int64 is safe while that stays below 2^63.  GWHT rows have
-    sum_l |c_l| <= 2^n, hence norms <= 2^{2n} <= 2^48 for n <= 24.
+    Exact one step wider than the input dtype (int8 -> int16, int16 -> int32,
+    int32 and int64 -> int64), which is also the output dtype: the
+    basis-major copy is made in that type.  Each output entry and each
+    partial sum is at most sum_l c_l^2 in magnitude (Cauchy-Schwarz).  GWHT
+    rows have sum_l |c_l| <= 2^n, hence norms <= 2^{2n}: in spectrum_dtype(n)
+    that is 2^12 in int16 (n <= 6, int8 input), 2^28 in int32 (n <= 14, int16
+    input) and 2^48 in int64 (n <= 24).  An int64 input gives int64, as for
+    GwhtSpectrum.
     """
     M = C.shape[1]
-    P = np.ascontiguousarray(np.moveaxis(C, 1, 0))
+    P = np.ascontiguousarray(np.moveaxis(C, 1, 0), dtype=_wider(C.dtype))
     out = np.empty_like(P)
     for t in range(max(1, M // 2)):
         out[t] = np.einsum("i...,i...->...", P[t:], P[: M - t])

@@ -111,6 +111,8 @@ def gray_walsh_identity(f: GeneralizedBooleanFunction, u: int, z_r: int) -> int:
         raise GbentError(f"the Gray identity needs k >= 2, got k={f.k}")
     if not 0 <= u < 1 << f.n:
         raise IndexOutOfRange(f"u={u} outside [0, 2^n)")
+    # the row is int64, so the sum of 2^{k-1} entries of magnitude up to 2^n
+    # in W's narrower type is taken in int64
     W = component_walsh_matrix(f)
     return int(row(f.k - 1, z_r) @ W[u])
 

@@ -25,6 +25,20 @@ shape (2^n, 2^{k-1}) or (2^n, 2^{k-1}, F), indexed by point, basis power or
 component, then function.  One function and a batch run through the same
 code, and every test over the basis or component axis is an elementwise
 operation on contiguous rows of F entries.
+
+Dtype rule (spectrum_dtype and the one-step widening live in the boolfn
+module, beside the butterfly): a +-1/0 table that is butterflied over 2^n
+points is stored in spectrum_dtype(n), the smallest signed integer type
+that holds +-2^n:
+
+    n <= 6: int8    n <= 14: int16    n <= 30: int32    otherwise int64
+
+Every partial sum at butterfly stage s is a sum of 2^s entries of +-1 or 0,
+so the whole butterfly stays within 2^n.  Any product of two entries, or
+sum of two or more, is taken one step wider (int8 -> int16 -> int32 ->
+int64, int64 staying int64): 2^{2n} and 4 2^n fit there for every n that
+maps to the narrower type.  A longer sum is taken in int64.  GwhtSpectrum
+converts its coefficients to int64 and keeps them so.
 """
 
 from __future__ import annotations
@@ -33,11 +47,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import MAX_N, BooleanFunction, fwht_
+from .boolfn import MAX_N, BooleanFunction, fwht_, spectrum_dtype
 from .cyclotomic import CyclotomicInt, norm_squared_coeffs
 from .errors import FormatError, GbentError, InternalInconsistency
 
 MAX_K = 12
+
+
+def _points_dtype(V: np.ndarray) -> np.dtype:
+    """spectrum_dtype of a value table whose axis 0 runs over the 2^n points."""
+    return spectrum_dtype(V.shape[0].bit_length() - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,21 +172,28 @@ def component_signs(V: np.ndarray, k: int) -> np.ndarray:
     low k-1 bits of f(x), since g_i(x) = a_{k-1}(x) xor (bits of i).(low bits
     of f(x)).  For k = 1 the single component is (-1)^{a_0(x)}.  Each
     component is one gather from its row of that sign table over Z_{2^k}.
+    The dtype is spectrum_dtype(n).
     """
     m = 1 << (k - 1)
     v = np.arange(1 << k, dtype=np.uint32)
     i = np.arange(m, dtype=np.uint32)[:, None]
-    table = 1 - 2 * ((v >> (k - 1)) ^ (np.bitwise_count(v & i) & 1)).astype(np.int64)
-    S = np.empty(V.shape[:1] + (m,) + V.shape[1:], dtype=np.int64)
-    for c in range(m):
-        np.take(table[c], V, out=S[:, c])
-    return S
+    bits = ((v >> (k - 1)) ^ (np.bitwise_count(v & i) & 1)).astype(_points_dtype(V))
+    return _gather(1 - 2 * bits, V)
+
+
+def _gather(table: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """out[:, c] = table[c][V] for a (m, 2^k) table: shape (2^n, m, ...), table's dtype."""
+    out = np.empty(V.shape[:1] + table.shape[:1] + V.shape[1:], dtype=table.dtype)
+    for c in range(len(table)):
+        np.take(table[c], V, out=out[:, c])
+    return out
 
 
 def component_walsh(V: np.ndarray, k: int) -> np.ndarray:
     """W_{g_i}(u) for value tables V of shape (2^n, ...): shape (2^n, 2^{k-1}, ...).
 
-    The butterfly of component_signs down the position axis.
+    The butterfly of component_signs down the position axis, in
+    spectrum_dtype(n): every |W_{g_i}(u)| <= 2^n.
     """
     S = component_signs(V, k)
     fwht_(S, axis=0)
@@ -243,22 +269,21 @@ def zeta_powers(V: np.ndarray, k: int) -> np.ndarray:
     """zeta^{f(x)} as power-basis rows for value tables V of shape (2^n, ...).
 
     zeta^v is +-1 times a basis power (sign from the top bit of v), so the
-    result, of shape (2^n, 2^{k-1}, ...), has one +-1 entry per row.
+    result, of shape (2^n, 2^{k-1}, ...) and dtype spectrum_dtype(n), has one
+    +-1 entry per row.  Basis power t is one gather from row t of the table
+    of all zeta^v, v in Z_{2^k}, as component_signs gathers its signs.
     """
     m = 1 << (k - 1)
-    low = (V & (m - 1)).astype(np.int64, copy=False)[:, None]
-    sign = (1 - 2 * (V >> (k - 1))).astype(np.int64, copy=False)[:, None]
-    Z = np.zeros(V.shape[:1] + (m,) + V.shape[1:], dtype=np.int64)
-    np.put_along_axis(Z, low, sign, axis=1)
-    return Z
+    eye = np.eye(m, dtype=_points_dtype(V))
+    return _gather(np.hstack([eye, -eye]), V)
 
 
 def gwht_coeffs(V: np.ndarray, k: int) -> np.ndarray:
     """H_f(u) coefficient rows for value tables V of shape (2^n, ...).
 
     The butterfly down the position axis of zeta_powers sums the character
-    terms coefficientwise: shape (2^n, 2^{k-1}, ...), int64 with every
-    coefficient bounded by 2^n.
+    terms coefficientwise: shape (2^n, 2^{k-1}, ...), spectrum_dtype(n) with
+    every coefficient bounded by 2^n.
     """
     Z = zeta_powers(V, k)
     fwht_(Z, axis=0)
@@ -277,7 +302,9 @@ def flat_mask(n: int, norms: np.ndarray) -> np.ndarray:
 
 def gwht(f: GeneralizedBooleanFunction) -> GwhtSpectrum:
     """H_f(u) = sum_x zeta^{f(x)} (-1)^{u.x}, exactly, for all u at once."""
-    return GwhtSpectrum(f.n, f.k, gwht_coeffs(f.values, f.k))
+    # the int64 copy is made before the spectrum forms its norms, so the
+    # narrow coefficients are freed first
+    return GwhtSpectrum(f.n, f.k, gwht_coeffs(f.values, f.k).astype(np.int64))
 
 
 def gwht_via_components(f: GeneralizedBooleanFunction) -> GwhtSpectrum:
@@ -285,8 +312,10 @@ def gwht_via_components(f: GeneralizedBooleanFunction) -> GwhtSpectrum:
 
     Computes W_{g_i} for all i, forms S(u) = H_{2^{k-1}} W(u), and divides
     by 2^{k-1}; the division must be exact and the result must equal gwht(f).
+    S(u) sums 2^{k-1} entries of magnitude up to 2^n, so it is formed in
+    int64: |S(u)| <= 2^{k-1+n} <= 2^35.
     """
-    S = component_walsh_matrix(f)
+    S = component_walsh_matrix(f).astype(np.int64)
     fwht_(S, axis=1)              # row u is now S(u)
     m = 1 << (f.k - 1)
     if (S & (m - 1)).any():

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .boolfn import _wider
 from .errors import GbentError, IndexOutOfRange
 
 # 5,559,680 quadruples, about 0.9 GB: the largest index set enumerated
@@ -63,16 +64,24 @@ def match_rows(W: np.ndarray, c: int = 1) -> tuple[np.ndarray, np.ndarray, np.nd
     where W[:, j] == sign * c * (-1)^{popcount(r & j)} for every j.  That
     expected entry is built up bit by bit: the entries for j + 2^s, j < 2^s,
     are those for j times (-1)^{r_s}.
+
+    sign and the expected entries are in W's dtype, and r is int64.  The
+    entries of W are taken to be at most the dtype's maximum in magnitude,
+    as every spectrum in spectrum_dtype(n) is; so when c exceeds that
+    maximum no entry equals +-c and ok is False everywhere.
     """
     m = W.shape[1]
-    sign = np.where(W[:, 0] > 0, 1, -1).astype(np.int64)
+    sign = np.where(W[:, 0] > 0, 1, -1).astype(W.dtype)
     r = np.zeros(sign.shape, dtype=np.int64)
-    expect = [sign * c]
+    fits = c <= np.iinfo(W.dtype).max
+    expect = [sign * c] if fits else []
     for s in range(m.bit_length() - 1):
         bit = (sign * W[:, 1 << s]) < 0
         r |= bit.astype(np.int64) << s
-        flip = 1 - 2 * bit.astype(np.int64)
+        flip = 1 - 2 * bit.astype(W.dtype)
         expect += [e * flip for e in expect]
+    if not fits:
+        return r, sign, np.zeros(sign.shape, dtype=bool)
     ok = W[:, 0] == expect[0]
     for j in range(1, m):
         ok &= W[:, j] == expect[j]
@@ -124,13 +133,18 @@ def products_hold(W: np.ndarray) -> np.ndarray:
     character.  So w_t = (c^2 / w_0) chi(t), and w_j w_c w_l w_v = c^4 on
     every zero-sum quadruple.  Each flat is taken once, as 0 < i < j < i^j;
     i^j > j says that j lacks the top bit of i, so no j is left for i >= m/2.
+
+    Both products are taken one step wider than W's dtype: for a spectrum
+    in spectrum_dtype(n), |w_a w_b| <= 2^{2n} fits there.
     """
     m = W.shape[1]
+    wide = _wider(W.dtype)
     out = np.ones(W.shape[:1] + W.shape[2:], dtype=bool)
     for i in range(1, m // 2):
         j = np.arange(i + 1, m)
         j = j[(j & (1 << (i.bit_length() - 1))) == 0]
-        out &= (W[:, :1] * W[:, i:i + 1] == W[:, j] * W[:, i ^ j]).all(axis=1)
+        lhs = np.multiply(W[:, :1], W[:, i:i + 1], dtype=wide)
+        out &= (lhs == np.multiply(W[:, j], W[:, i ^ j], dtype=wide)).all(axis=1)
     return out
 
 

@@ -22,8 +22,10 @@ their per-u witnesses off the same coefficient and Walsh arrays.  Every
 kernel also takes a single function without the function axis: a value
 table of shape (2^n,) gives arrays of shape (2^n, 2^{k-1}) and (2^n,).
 
-All routes use int64 throughout (coefficients are bounded by 2^n and norms
-by 2^{2n}).  A sweep compares the direct and spectral per-u pass masks
+The coefficient and Walsh tensors are in spectrum_dtype(n), the smallest
+signed integer type that holds their bound 2^n (int8 for n <= 6, int16 for
+n <= 14, int32 above); norms (at most 2^{2n}) and the products of the
+relations are taken one step wider (see the gbf module).  A sweep compares the direct and spectral per-u pass masks
 pointwise and the verdicts of all routes; any discrepancy is collected
 rather than raised, so callers can report it.
 

@@ -150,6 +150,18 @@ class TestWorkCounts:
         assert is_zq_bent(spread_zqbent(regular_spread(4), 4, range(16))).verdict
         assert counts == {"gwht_coeffs": 0, "norm": 0}
 
+    def test_check_reads_one_component_walsh(self, capsys, tmp_path, monkeypatch):
+        # the spectral and quadruple routes test the same component Walsh array
+        counts = {}
+        count_calls(monkeypatch, counts, "component_walsh", gbent.gbf.component_walsh)
+        good, bad = tmp_path / "good.gbf", tmp_path / "bad.gbf"
+        good.write_text(spread_zqbent(regular_spread(4), 4, range(16)).to_text())
+        bad.write_text(GeneralizedBooleanFunction(8, 4, np.arange(256) % 16).to_text())
+        for path, code in ((good, 0), (bad, 1)):
+            assert run(capsys, "check", str(path))[0] == code
+            assert counts == {"component_walsh": 1}
+            counts.update(component_walsh=0)
+
     def test_space_reads_one_component_walsh(self, capsys, tmp_path, monkeypatch):
         # every structure check reads the one component Walsh array
         counts = {}
