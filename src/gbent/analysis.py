@@ -53,14 +53,7 @@ from .gbf import (
     gwht,
 )
 from .hadamard import match_rows, products_hold
-from .sweep import (
-    _magnitudes,
-    batch_component_walsh,
-    batch_direct_flat,
-    batch_spectral_pass,
-    quadruple_masks,
-    split_halves,
-)
+from .sweep import _magnitudes, batch_direct_flat, walsh_routes
 
 
 @dataclass(frozen=True)
@@ -165,47 +158,29 @@ def is_gbent_direct(f: GeneralizedBooleanFunction) -> GbentReport:
     return _report("direct", f, _witnesses(r, sign, high), failures)
 
 
-def _walsh_report(method: str, f: GeneralizedBooleanFunction, W: np.ndarray,
-                  halves: tuple | None, failures: list[int]) -> GbentReport:
-    """Report with witnesses read off the component Walsh rows W(u).
+def _walsh_reports(f: GeneralizedBooleanFunction) -> tuple[GbentReport, ...]:
+    """The spectral and (k >= 2) quadruple reports off one walsh_routes pass.
 
-    The sign and r are read from the entries at positions 0 and 2^s of W(u),
-    or for odd n of its nonvanishing half, taken from halves =
-    split_halves(W); the route's verdict never depends on them.
+    The pass gets a (2^n, 1) table: perfbench's tracer sizes blocks off both axes.
+    Witnesses come from the entries 0 and 2^s of W(u), or for odd n of its
+    nonvanishing half; no verdict depends on them.
     """
-    if failures:
-        return _report(method, f, (), failures)
-    high = None
-    if f.n % 2:
-        low_zero, _, W = halves
-        high = ~low_zero
-    r, sign, _ = match_rows(W)
-    return _report(method, f, _witnesses(r, sign, high), failures)
-
-
-def _component_walsh(f: GeneralizedBooleanFunction) -> tuple[np.ndarray, tuple | None]:
-    """(W, halves): the (2^n, 2^{k-1}) component Walsh array of f and, for
-    odd n, split_halves(W); the two Walsh routes take both.
-
-    The batch kernels take a (2^n, F) value table; this is the F = 1 call,
-    with the function axis dropped again.  perfbench's tracer sizes the
-    kernel's block from that two-axis table.
-    """
-    W = batch_component_walsh(f.n, f.k, f.values[:, None])[..., 0]
-    return W, split_halves(W) if f.n % 2 else None
-
-
-def _spectral_report(f: GeneralizedBooleanFunction, W: np.ndarray,
-                     halves: tuple | None) -> GbentReport:
-    ok = batch_spectral_pass(f.n, f.k, W, halves)
-    return _walsh_report("spectral", f, W, halves, np.flatnonzero(~ok).tolist())
-
-
-def _quadruple_report(f: GeneralizedBooleanFunction, W: np.ndarray,
-                      halves: tuple | None) -> GbentReport:
-    magnitudes, relations = quadruple_masks(f.n, W, halves)
-    bad = ~magnitudes.all(axis=1) if not magnitudes.all() else ~relations
-    return _walsh_report("quadruple", f, W, halves, np.flatnonzero(bad).tolist())
+    W, halves, spectral, quadruple = walsh_routes(f.n, f.k, f.values[:, None])
+    bad = {"spectral": ~spectral[:, 0]}
+    if quadruple is not None:
+        magnitudes, relations = quadruple
+        off = ~magnitudes.all(axis=1)
+        bad["quadruple"] = (off if off.any() else ~relations)[:, 0]
+    witnesses = ()
+    if not all(b.any() for b in bad.values()):
+        high = None
+        if f.n % 2:
+            low_zero, _, W = halves
+            high = ~low_zero[:, 0]
+        r, sign, _ = match_rows(W[..., 0])
+        witnesses = _witnesses(r, sign, high)
+    return tuple(_report(method, f, () if b.any() else witnesses, np.flatnonzero(b).tolist())
+                 for method, b in bad.items())
 
 
 def is_gbent_spectral(f: GeneralizedBooleanFunction) -> GbentReport:
@@ -216,7 +191,7 @@ def is_gbent_spectral(f: GeneralizedBooleanFunction) -> GbentReport:
     exactly one half and be +-2^{(n+1)/2} times a row of H_{2^{k-2}} on the
     other.  For k=1 this degenerates to the plain bentness test.
     """
-    return _spectral_report(f, *_component_walsh(f))
+    return _walsh_reports(f)[0]
 
 
 def is_gbent_quadruple(f: GeneralizedBooleanFunction) -> GbentReport:
@@ -231,21 +206,16 @@ def is_gbent_quadruple(f: GeneralizedBooleanFunction) -> GbentReport:
     """
     if f.k < 2:
         raise GbentError(f"quadruple route needs k >= 2, got k={f.k}")
-    return _quadruple_report(f, *_component_walsh(f))
+    return _walsh_reports(f)[1]
 
 
 def gbent_reports(f: GeneralizedBooleanFunction) -> tuple[GbentReport, ...]:
     """All applicable routes: three for k >= 2, two for k = 1.
 
     The spectral and quadruple routes apply their own tests to one
-    component Walsh array, computed once here.
+    component Walsh array, computed once.
     """
-    direct = is_gbent_direct(f)
-    W, halves = _component_walsh(f)
-    reports = [direct, _spectral_report(f, W, halves)]
-    if f.k >= 2:
-        reports.append(_quadruple_report(f, W, halves))
-    return tuple(reports)
+    return (is_gbent_direct(f), *_walsh_reports(f))
 
 
 def gbent_verdict(f: GeneralizedBooleanFunction) -> bool:

@@ -241,16 +241,7 @@ def mesnager_secondary(g0: BooleanFunction, g1: BooleanFunction,
 
 
 def _f2_rank(mat: np.ndarray) -> int:
-    rows = [sum(int(b) << j for j, b in enumerate(row)) for row in mat]
-    rank = 0
-    for col in range(mat.shape[1]):
-        pivot = next((i for i, r in enumerate(rows) if (r >> col) & 1), None)
-        if pivot is None:
-            continue
-        piv = rows.pop(pivot)
-        rows = [r ^ piv if (r >> col) & 1 else r for r in rows]
-        rank += 1
-    return rank
+    return len(_f2_basis(sum(int(b) << j for j, b in enumerate(row)) for row in mat))
 
 
 def _validate_bit_matrix(mat: np.ndarray, size: int, name: str) -> np.ndarray:
@@ -369,12 +360,12 @@ def lift(f: GeneralizedBooleanFunction, r: int) -> GeneralizedBooleanFunction:
     """
     if r < f.k:
         raise GbentError(f"need r >= k, got r = {r} < k = {f.k}")
+    if r > MAX_K:
+        raise GbentError(f"k must be an integer in [1, {MAX_K}], got {r}")
     if not gbent_verdict(f):
         raise NotGbent("only gbent functions are lifted")
     if r == f.k:
         return f
-    if r > MAX_K:
-        raise GbentError(f"k must be an integer in [1, {MAX_K}], got {r}")
     low = f.k - 1 - f.n % 2             # coordinates below the moved ones
     values = (f.values & ((1 << low) - 1)) | ((f.values >> low) << (low + r - f.k))
     out = GeneralizedBooleanFunction(f.n, r, values)

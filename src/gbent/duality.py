@@ -1,10 +1,10 @@
 """Duals of gbent functions and the generalized Gray map.
 
 For even n every gbent f has a gbent dual f* with H_f(u) = 2^{n/2}
-zeta^{f*(u)}; its coordinates are assembled from plain Boolean duals of the
-components g_0 and g_{2^j}.  The construction is certified on every call:
-dual_gbent never returns without checking the defining identity at all u
-and the gbentness of the result.
+zeta^{f*(u)}, read off the signed Hadamard rows of the component Walsh
+vectors.  The construction is certified on every call: dual_gbent never
+returns without checking the defining identity at all u and the
+gbentness of the result.
 
 The Gray map sends f in GB_n^{2^k} to the Boolean function
 
@@ -24,52 +24,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import gbent_verdict, is_gbent_direct
-from .boolfn import BooleanFunction, SpectralClass, classify, dual, wht
+from .analysis import gbent_verdict
+from .boolfn import BooleanFunction, SpectralClass, classify, wht
 from .errors import GbentError, IndexOutOfRange, InternalInconsistency, NotGbent
 from .gbf import (
     GeneralizedBooleanFunction,
-    assemble,
+    component_walsh,
     component_walsh_matrix,
     components,
-    flat_mask,
-    gwht,
+    gwht_coeffs,
     zeta_powers,
 )
-from .hadamard import row
+from .hadamard import match_rows, row
 
 
 def dual_gbent(f: GeneralizedBooleanFunction) -> GeneralizedBooleanFunction:
     """Dual of a gbent function on an even number of variables.
 
-    Coordinates of f*: b_{k-1} = g_0* and b_j = g_0* + g_{2^j}* for
-    j < k-1, where g_0 = a_{k-1} and g_{2^j} = a_{k-1} + a_j are bent
-    components of f.  Before returning, verifies H_f(u) = 2^{n/2}
-    zeta^{f*(u)} at every u and that f* is itself gbent.
+    f is gbent exactly when every W(u) = sign(u) 2^{n/2} H^{(r(u))}, and then
+    f*(u) = r(u) + 2^{k-1} [sign(u) < 0]: sign(u) = (-1)^{g_0*(u)} and bit j
+    of r(u) is g_0*(u) + g_{2^j}*(u), the paper's coordinates b_{k-1} = g_0*
+    and b_j = g_0* + g_{2^j}*.  Before returning, verifies
+    H_f(u) = 2^{n/2} zeta^{f*(u)} at every u against the GWHT coefficients
+    and that f* is itself gbent.
     """
     if f.n % 2:
         raise GbentError("no dual is constructed for odd n")
-    spec = gwht(f)
-    coeffs = spec.coeffs
-    flat = flat_mask(f.n, spec.norm_squared_all())
-    if not flat.all():
+    r, sign, ok = match_rows(component_walsh(f.values, f.k), 1 << (f.n // 2))
+    if not ok.all():
         raise NotGbent(f"dual requires a gbent function; fails at u in "
-                       f"{np.flatnonzero(~flat)[:8].tolist()}")
-    g0 = f.coordinate(f.k - 1)
-    d0 = dual(g0)
-    coords = [d0 ^ dual(g0 ^ f.coordinate(j)) for j in range(f.k - 1)]
-    coords.append(d0)
-    fdual = assemble(coords)
+                       f"{np.flatnonzero(~ok)[:8].tolist()}")
+    fdual = GeneralizedBooleanFunction(f.n, f.k, r + ((sign < 0) << (f.k - 1)))
 
+    coeffs = gwht_coeffs(f.values, f.k)
     wrong = (coeffs != zeta_powers(fdual.values, f.k) << (f.n // 2)).any(axis=1)
     if wrong.any():
-        # the witness of H_f(u) names the value the dual should have taken;
-        # is_gbent_direct raises first if H_f(u) is not +-2^(n/2) zeta^r at all
         u = int(np.flatnonzero(wrong)[0])
-        r, sign = (column[u] for column in is_gbent_direct(f).witnesses)
         raise InternalInconsistency(
-            f"dual value at u={u} is {int(fdual.values[u])}, "
-            f"but H_f(u) = {sign:+d} 2^(n/2) zeta^{r}")
+            f"dual value at u={u} is {int(fdual.values[u])}, but H_f(u) has "
+            f"coefficients {coeffs[u].tolist()}")
     if not gbent_verdict(fdual):
         raise InternalInconsistency("constructed dual is not gbent")
     return fdual

@@ -151,20 +151,6 @@ def coordinates(f: GeneralizedBooleanFunction) -> list[BooleanFunction]:
     return [f.coordinate(j) for j in range(f.k)]
 
 
-def assemble(coords) -> GeneralizedBooleanFunction:
-    """Inverse of coordinates: f = sum_j 2^j a_j."""
-    coords = list(coords)
-    if not coords:
-        raise GbentError("need at least one coordinate function")
-    n = coords[0].n
-    if any(not isinstance(a, BooleanFunction) or a.n != n for a in coords):
-        raise GbentError("coordinates must be BooleanFunctions on a common n")
-    vals = np.zeros(1 << n, dtype=np.int64)
-    for j, a in enumerate(coords):
-        vals |= a.table.astype(np.int64) << j
-    return GeneralizedBooleanFunction(n, len(coords), vals)
-
-
 def component_signs(V: np.ndarray, k: int) -> np.ndarray:
     """(-1)^{g_i(x)} for value tables V of shape (2^n, ...): shape (2^n, 2^{k-1}, ...).
 

@@ -18,16 +18,18 @@ transposes its chunk once.
 
 These kernels are the only implementation of each route: the single-function
 routes in the analysis module call them for one function and then read
-their per-u witnesses off the same coefficient and Walsh arrays.  Every
+their per-u witnesses off the same coefficient and Walsh arrays.  The two
+Walsh routes share one pass, walsh_routes, in a sweep and in a report.  Every
 kernel also takes a single function without the function axis: a value
 table of shape (2^n,) gives arrays of shape (2^n, 2^{k-1}) and (2^n,).
 
 The coefficient and Walsh tensors are in spectrum_dtype(n), the smallest
 signed integer type that holds their bound 2^n (int8 for n <= 6, int16 for
 n <= 14, int32 above); norms (at most 2^{2n}) and the products of the
-relations are taken one step wider (see the gbf module).  A sweep compares the direct and spectral per-u pass masks
-pointwise and the verdicts of all routes; any discrepancy is collected
-rather than raised, so callers can report it.
+relations are taken one step wider (see the gbf module).  A sweep compares
+the direct and spectral per-u pass masks pointwise and the verdicts of all
+routes; any discrepancy is collected rather than raised, so callers can
+report it.
 
 Enumeration helpers provide exhaustive (lexicographic truth-table order)
 and random function families in chunks, and search_gbent drives them for
@@ -41,9 +43,10 @@ from typing import Iterator
 
 import numpy as np
 
+from .boolfn import MAX_N
 from .cyclotomic import norm_squared_coeffs
 from .errors import GbentError, InternalInconsistency
-from .gbf import GeneralizedBooleanFunction, component_walsh, flat_mask, gwht_coeffs
+from .gbf import MAX_K, GeneralizedBooleanFunction, component_walsh, flat_mask, gwht_coeffs
 from .hadamard import match_rows, products_hold
 
 SEARCH_BITS_CAP = 24
@@ -63,9 +66,7 @@ def split_halves(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(low_zero, high_zero, active) for odd n along the component axis of W.
 
     low_zero and high_zero tell which half of W(u) vanishes; active is the
-    high half where the low one vanishes and the low half otherwise.  The
-    spectral and quadruple kernels take this split as their halves argument,
-    so a caller that runs both computes it once.
+    high half where the low one vanishes and the low half otherwise.
     """
     half = W.shape[1] // 2
     low, high = W[:, :half], W[:, half:]
@@ -117,11 +118,23 @@ def quadruple_masks(n: int, W: np.ndarray,
     return _magnitudes(n, W), relations
 
 
-def batch_quadruple_verdict(n: int, k: int, W: np.ndarray,
-                            halves: tuple | None) -> np.ndarray:
-    """(F,) verdicts of the product-relation route, k >= 2; halves as in quadruple_masks."""
-    magnitudes, relations = quadruple_masks(n, W, halves)
+def batch_quadruple_verdict(magnitudes: np.ndarray, relations: np.ndarray) -> np.ndarray:
+    """(F,) verdicts of the product-relation route from its quadruple_masks."""
     return magnitudes.all(axis=(0, 1)) & relations.all(axis=0)
+
+
+def walsh_routes(n: int, k: int, V: np.ndarray) -> tuple:
+    """(W, halves, spectral, quadruple): the one pass both Walsh routes read.
+
+    W = batch_component_walsh(n, k, V), halves = split_halves(W) for odd n
+    (else None), spectral = batch_spectral_pass(n, k, W, halves), and
+    quadruple = quadruple_masks(n, W, halves) for k >= 2 (else None).
+    """
+    W = batch_component_walsh(n, k, V)
+    halves = split_halves(W) if n % 2 else None
+    spectral = batch_spectral_pass(n, k, W, halves)
+    quadruple = quadruple_masks(n, W, halves) if k >= 2 else None
+    return W, halves, spectral, quadruple
 
 
 @dataclass(frozen=True)
@@ -150,16 +163,21 @@ def sweep_three_routes(n: int, k: int, V: np.ndarray) -> SweepResult:
     """
     V = np.ascontiguousarray(np.asarray(V, dtype=np.int64).T)
     direct = batch_direct_flat(n, k, V)
-    W = batch_component_walsh(n, k, V)
-    halves = split_halves(W) if n % 2 else None
-    spectral = batch_spectral_pass(n, k, W, halves)
+    _, _, spectral, quadruple = walsh_routes(n, k, V)
     bad = (direct != spectral).any(axis=0)
     verdicts = direct.all(axis=0)
-    if k >= 2:
-        bad |= verdicts != batch_quadruple_verdict(n, k, W, halves)
-    bad |= verdicts != spectral.all(axis=0)
+    if quadruple is not None:
+        bad |= verdicts != batch_quadruple_verdict(*quadruple)
     return SweepResult(n, k, V.shape[1], int(verdicts.sum()), verdicts,
                        tuple(np.flatnonzero(bad).tolist()))
+
+
+def _check_space(n: int, k: int) -> None:
+    """GB_n^{2^k} must have 1 <= n <= MAX_N and 1 <= k <= MAX_K."""
+    if not 1 <= n <= MAX_N:
+        raise GbentError(f"n must be an integer in [1, {MAX_N}], got {n}")
+    if not 1 <= k <= MAX_K:
+        raise GbentError(f"k must be an integer in [1, {MAX_K}], got {k}")
 
 
 def exhaustive_values(n: int, k: int, chunk: int = 1 << 12) -> Iterator[np.ndarray]:
@@ -168,6 +186,7 @@ def exhaustive_values(n: int, k: int, chunk: int = 1 << 12) -> Iterator[np.ndarr
     The value at point 0 is the most significant digit, so functions are
     ordered as tuples (f(0), f(1), ...).
     """
+    _check_space(n, k)
     N = 1 << n
     bits = k * N
     if bits > SEARCH_BITS_CAP:
@@ -211,6 +230,7 @@ def search_gbent(n: int, k: int, count: int | None = None,
     InternalInconsistency.  Returns (found functions, total functions
     examined).
     """
+    _check_space(n, k)
     found: list[GeneralizedBooleanFunction] = []
     total = 0
     if count is None:

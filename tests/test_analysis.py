@@ -198,6 +198,14 @@ class TestRouteAgreement:
             if d.verdict:
                 assert d.witnesses == s.witnesses == q.witnesses
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_single_routes_are_report_entries(self, n):
+        # all of GB_n^4: the public Walsh routes equal their gbent_reports entries
+        for f in all_gbfs(n, 2):
+            _, s, q = gbent_reports(f)
+            assert is_gbent_spectral(f) == s
+            assert is_gbent_quadruple(f) == q
+
     def test_consensus_matches_direct(self, rng):
         for _ in range(30):
             f = random_gbf(rng, 3, 2)

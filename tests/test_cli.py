@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import gbent.boolfn
 import gbent.cyclotomic
 import gbent.gbf
+import gbent.sweep
 from gbent.analysis import is_gbent, is_zq_bent
 from gbent.boolfn import BooleanFunction
 from gbent.cli import main
@@ -90,12 +91,17 @@ class TestCheck:
         assert out.strip() == "gbent, Z_8-bent: yes"
 
 
-def count_calls(monkeypatch, counts, key, original):
-    """Routes every gbent binding of original through counts[key] += 1."""
+def count_calls(monkeypatch, counts, key, original, calls=None):
+    """Routes every gbent binding of original through counts[key] += 1.
+
+    calls, when given, collects the arguments of every call.
+    """
     counts[key] = 0
 
     def counted(*args):
         counts[key] += 1
+        if calls is not None:
+            calls.append(args)
         return original(*args)
 
     for name, mod in list(sys.modules.items()):
@@ -113,30 +119,41 @@ def tally(monkeypatch):
     return counts
 
 
+# n = 8, k = 4: a Z_16-bent spread function, and a function that is not gbent
+SPREAD84 = spread_zqbent(regular_spread(4), 4, range(16))
+
+
+@pytest.fixture
+def n8(tmp_path):
+    """(gbent, not gbent) input files of n = 8, k = 4."""
+    good, bad = tmp_path / "good.gbf", tmp_path / "bad.gbf"
+    good.write_text(SPREAD84.to_text())
+    bad.write_text(GeneralizedBooleanFunction(8, 4, np.arange(256) % 16).to_text())
+    return str(good), str(bad)
+
+
 class TestWorkCounts:
-    def test_norm_calls_and_witness_builds(self, capsys, tmp_path, tally):
-        # n = 8, k = 4: each spectrum's norms are computed once and reused,
-        # and the witness table is printed from the report's columns
-        spread = spread_zqbent(regular_spread(4), 4, range(16))
-        good, bad = tmp_path / "good.gbf", tmp_path / "bad.gbf"
-        good.write_text(spread.to_text())
-        bad.write_text(GeneralizedBooleanFunction(8, 4, np.arange(256) % 16).to_text())
+    def test_norm_calls_and_witness_builds(self, capsys, n8, tally):
+        # each spectrum's norms are computed once and reused, and the
+        # witness table is printed from the report's columns
+        good, bad = n8
 
         def counts(*argv):
             tally.update(norm=0)
             code, out, _ = run(capsys, *argv)
             return code, out, dict(tally)
 
-        # one norm for the direct route; the Z_16-bent verdict takes none
-        assert counts("check", str(good)) == (0, "gbent, Z_16-bent: yes\n", {"norm": 1})
-        assert counts("dual", str(good))[::2] == (0, {"norm": 2})
-        assert counts("check", str(bad)) == (1, "not gbent\n", {"norm": 1})
+        # one norm for the direct route; the Z_16-bent verdict takes none, and
+        # the dual's one norm is the gbentness check of f*
+        assert counts("check", good) == (0, "gbent, Z_16-bent: yes\n", {"norm": 1})
+        assert counts("dual", good)[::2] == (0, {"norm": 1})
+        assert counts("check", bad) == (1, "not gbent\n", {"norm": 1})
 
-        code, out, _ = counts("check", str(good), "--verbose")
+        code, out, _ = counts("check", good, "--verbose")
         assert code == 0
         # even n: H_f(u) = sign 2^(n/2) zeta^r has one nonzero coefficient
         table = [f"{u} {int(np.flatnonzero(c)[0])} {int(np.sign(c.sum())):+d} -"
-                 for u, c in enumerate(gwht(spread).coeffs)]
+                 for u, c in enumerate(gwht(SPREAD84).coeffs)]
         lines = out.splitlines()
         for method in ("direct", "spectral", "quadruple"):
             start = lines.index(f"# method: {method}") + 3
@@ -147,20 +164,34 @@ class TestWorkCounts:
         counts = {}
         count_calls(monkeypatch, counts, "gwht_coeffs", gbent.gbf.gwht_coeffs)
         count_calls(monkeypatch, counts, "norm", gbent.cyclotomic.norm_squared_coeffs)
-        assert is_zq_bent(spread_zqbent(regular_spread(4), 4, range(16))).verdict
+        assert is_zq_bent(SPREAD84).verdict
         assert counts == {"gwht_coeffs": 0, "norm": 0}
 
-    def test_check_reads_one_component_walsh(self, capsys, tmp_path, monkeypatch):
-        # the spectral and quadruple routes test the same component Walsh array
+    def test_check_reads_one_component_walsh(self, capsys, n8, monkeypatch):
+        # the spectral and quadruple routes test the same component Walsh
+        # array, and dual reads f* off its signed rows, with no Boolean duals
         counts = {}
         count_calls(monkeypatch, counts, "component_walsh", gbent.gbf.component_walsh)
-        good, bad = tmp_path / "good.gbf", tmp_path / "bad.gbf"
-        good.write_text(spread_zqbent(regular_spread(4), 4, range(16)).to_text())
-        bad.write_text(GeneralizedBooleanFunction(8, 4, np.arange(256) % 16).to_text())
-        for path, code in ((good, 0), (bad, 1)):
-            assert run(capsys, "check", str(path))[0] == code
-            assert counts == {"component_walsh": 1}
-            counts.update(component_walsh=0)
+        count_calls(monkeypatch, counts, "wht", gbent.boolfn.wht)
+        count_calls(monkeypatch, counts, "dual", gbent.boolfn.dual)
+        for cmd in ("check", "dual"):
+            for path, code in zip(n8, (0, 1)):
+                assert run(capsys, cmd, path)[0] == code
+                assert counts == {"component_walsh": 1, "wht": 0, "dual": 0}
+                counts.update(component_walsh=0)
+
+    def test_probed_kernels_take_two_axis_tables(self, capsys, n8, monkeypatch):
+        # perfbench's tracer sizes these kernels' blocks from V.shape[0] and
+        # V.shape[1], so a one-axis table would fail a traced operation
+        counts, calls = {}, []
+        for key in ("batch_component_walsh", "batch_direct_flat"):
+            count_calls(monkeypatch, counts, key, getattr(gbent.sweep, key), calls)
+        good, bad = n8
+        assert [run(capsys, *argv)[0] for argv in
+                (("check", good), ("check", bad), ("dual", good))] == [0, 1, 0]
+        gbent.sweep.sweep_three_routes(3, 2, next(gbent.sweep.exhaustive_values(3, 2)))
+        assert counts == {"batch_component_walsh": 3, "batch_direct_flat": 2}
+        assert [V.ndim for _, _, V in calls] == [2] * 5
 
     def test_space_reads_one_component_walsh(self, capsys, tmp_path, monkeypatch):
         # every structure check reads the one component Walsh array
@@ -429,6 +460,21 @@ class TestExitContract:
         code, out, err = run(capsys, "lift", gbf22, "99999999999999999999")
         assert_input_error(code, err)
         assert out == ""
+
+    @pytest.mark.parametrize("text", [SEED22, ZERO22])
+    def test_lift_r_beyond_max_k(self, capsys, tmp_path, text):
+        # r is checked before the verdict, so gbent or not, r = 13 exits 2
+        (tmp_path / "f.gbf").write_text(text)
+        assert run(capsys, "lift", str(tmp_path / "f.gbf"), "13") == (
+            2, "", "error: k must be an integer in [1, 12], got 13\n")
+
+    @pytest.mark.parametrize("mode", [(), ("--random", "5")])
+    @pytest.mark.parametrize("n,k", [(2, 0), (1, -1), (-1, 2), (0, 1), (25, 1), (2, 13)])
+    def test_search_space_out_of_range(self, capsys, mode, n, k):
+        # checked before any enumeration or shift by a negative count
+        name, value, top = ("n", n, 24) if not 1 <= n <= 24 else ("k", k, 12)
+        assert run(capsys, "search", str(n), str(k), *mode) == (
+            2, "", f"error: {name} must be an integer in [1, {top}], got {value}\n")
 
     def test_example1_m_beyond_field(self):
         # a child process with a 1 GB address-space limit and a timeout, so

@@ -6,7 +6,6 @@ from gbent.cyclotomic import CyclotomicInt, norm_squared, norm_squared_coeffs
 from gbent.errors import FormatError, GbentError
 from gbent.gbf import (
     GeneralizedBooleanFunction,
-    assemble,
     components,
     coordinates,
     gwht,
@@ -38,17 +37,6 @@ class TestCoordinates:
         f = gbf(2, 3, [5, 0, 0, 0])
         a = coordinates(f)
         assert (a[0](0), a[1](0), a[2](0)) == (1, 0, 1)
-
-    def test_round_trip(self, rng):
-        for _ in range(100):
-            f = random_gbf(rng, 4, 4)
-            assert assemble(coordinates(f)) == f
-
-    def test_assemble_errors(self):
-        with pytest.raises(GbentError, match=r"need at least one coordinate function"):
-            assemble([])
-        with pytest.raises(GbentError, match=r"common n"):
-            assemble([BooleanFunction.constant(2), BooleanFunction.constant(3)])
 
     def test_seed_coordinates(self):
         a = coordinates(SEED22)

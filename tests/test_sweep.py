@@ -15,14 +15,12 @@ from gbent.sweep import (
     batch_component_walsh,
     batch_direct_flat,
     batch_quadruple_verdict,
-    batch_spectral_pass,
     exhaustive_values,
-    quadruple_masks,
     random_values,
     search_gbent,
-    split_halves,
     sweep_exhaustive,
     sweep_three_routes,
+    walsh_routes,
 )
 
 from conftest import gwht_naive_at, wht_naive
@@ -62,11 +60,9 @@ class TestBatchKernels:
         # the scalar reference is the per-u definitional sum, not a route
         V = random_values(rng, n, k, 40)
         direct = batch_direct_flat(n, k, V.T)
-        W = batch_component_walsh(n, k, V.T)
-        halves = split_halves(W) if n % 2 else None
-        spectral = batch_spectral_pass(n, k, W, halves)
+        _, _, spectral, quadruple = walsh_routes(n, k, V.T)
         if k >= 2:
-            quad = batch_quadruple_verdict(n, k, W, halves)
+            quad = batch_quadruple_verdict(*quadruple)
         for i in range(len(V)):
             want = naive_flat(n, k, V[i])
             assert (direct[:, i] == want).all()
@@ -82,12 +78,8 @@ class TestBatchKernels:
         V = np.vstack([V] + [f.values for f in hits[:8]])
 
         def kernels(values):
-            W = batch_component_walsh(n, k, values)
-            halves = split_halves(W) if n % 2 else None
-            out = [batch_direct_flat(n, k, values), W, batch_spectral_pass(n, k, W, halves)]
-            if k >= 2:
-                out += quadruple_masks(n, W, halves)
-            return out
+            W, _, spectral, quadruple = walsh_routes(n, k, values)
+            return [batch_direct_flat(n, k, values), W, spectral, *(quadruple or ())]
 
         batch = kernels(np.ascontiguousarray(V.T))
         for i, values in enumerate(V):
