@@ -25,11 +25,13 @@ closure, and for odd n the splitting subspace L_1) on the quadruple
 route's component Walsh array, decides Z_q-bentness by two routes (all
 nonzero multiples gbent; all truncations gbent), and verifies the
 relative-difference-set property of the graph of f by exact difference
-counts.  The last two read one difference spectrum
-R_c(u) = sum_v I_{v+c}(u) I_v(u) of the level-set Walsh transforms I_v:
-|H_{a f}(u)|^2 = sum_c zeta^{a c} R_c(u) exactly, and the inverse Walsh
-transform of R_c counts the x with f(x) - f(x + d) = c.  R is int64 with
-every entry, and every coefficient folded from it, at most 2^{2n} <= 2^48.
+counts.  The last two read the k truncation norms: the |H|^2 coefficients
+of f mod g for g = 2, 4, ..., 2^k, from the direct route's GWHT and norm
+kernels.  Every multiple a f is a Galois image of one truncation, so the k
+flatness verdicts decide all 2^k - 1 multiples.  The same norms unfold into
+the difference spectrum R_c(u) = sum_v I_{v+c}(u) I_v(u) of the level-set
+Walsh transforms I_v, whose inverse Walsh transform counts the x with
+f(x) - f(x + d) = c.
 
 Component Walsh arrays come in spectrum_dtype(n) (see the gbf module); sums
 of their entries are taken one step wider.
@@ -43,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, WalshSpectrum, _wider, fwht_, spectrum_dtype, wht
+from .boolfn import BooleanFunction, WalshSpectrum, _wider, fwht_, wht
+from .cyclotomic import norm_squared_coeffs
 from .errors import GbentError, InternalInconsistency
 from .gbf import (
     GeneralizedBooleanFunction,
@@ -51,6 +54,7 @@ from .gbf import (
     component_walsh_matrix,
     flat_mask,
     gwht,
+    gwht_coeffs,
 )
 from .hadamard import match_rows, products_hold
 from .sweep import _magnitudes, batch_direct_flat, walsh_routes
@@ -377,31 +381,38 @@ class ZqBentReport:
     per_t: tuple[bool, ...]
 
 
-def _difference_spectra(values: np.ndarray, k: int) -> np.ndarray:
+def _truncation_norms(f: GeneralizedBooleanFunction):
+    """(g, N) for g = 2, 4, ..., 2^k: N, shape (2^n, g/2), holds the |H|^2
+    coefficients of f mod g, from the direct route's GWHT and norm kernels."""
+    for j in range(1, f.k + 1):
+        yield 1 << j, norm_squared_coeffs(gwht_coeffs(f.values % (1 << j), j))
+
+
+def _difference_spectrum(f: GeneralizedBooleanFunction) -> np.ndarray:
     """R_c(u) = sum_v I_{v+c}(u) I_v(u) for 0 <= c <= 2^{k-1}: shape (2^{k-1} + 1, 2^n), int64.
 
-    I_v is the Walsh transform of the level-set indicator [f = v], all 2^k of
-    them taken in one butterfly, and c runs over Z_{2^k}.  Expanding
-    H_{a f}(u) conj(H_{a f}(u)) over pairs of values gives
-    |H_{a f}(u)|^2 = sum_c zeta_{2^k}^{a c} R_c(u), and the inverse Walsh
-    transform of R_c counts the x with f(x) - f(x + d) = c.  R_{-c} = R_c, so
-    the rows c <= 2^{k-1} formed here determine R, and no caller needs the rest.
-
-    Exact: I is built in spectrum_dtype(n), which holds |I_v(u)| <= 2^n,
-    every product is taken in int64, and
-    |R_c(u)| <= (sum_v |I_v(u)|)^2 <= 2^{2n} <= 2^48, which bounds each
-    partial sum as well.
+    I_v is the Walsh transform of the level-set indicator [f = v], and the
+    inverse Walsh transform of R_c counts the x with f(x) - f(x + d) = c.
+    R^{(g)}_j, the sum of R_c over c = j mod g, unfolds from
+    R^{(1)}(u) = |sum_v I_v(u)|^2 = 2^{2n} [u = 0] and the truncation norms:
+    as zeta_g^{j+g/2} = -zeta_g^j, coefficient t of
+    |H_{f mod g}(u)|^2 = sum_j zeta_g^j R^{(g)}_j(u) is
+    N_t = R^{(g)}_t - R^{(g)}_{t+g/2}, and R^{(g/2)}_t = R^{(g)}_t + R^{(g)}_{t+g/2}.
+    An odd R^{(g/2)}_t +- N_t contradicts the norms.  Exact in int64: every
+    |R^{(g)}_j(u)| and |N_t(u)| is at most (sum_v |I_v(u)|)^2 = 2^{2n} <= 2^48.
     """
-    q, size = 1 << k, values.shape[-1]
-    I = np.zeros((size, q), dtype=spectrum_dtype(size.bit_length() - 1))
-    I[np.arange(size), values] = 1
-    # the butterfly runs down contiguous rows; the products want value rows
-    I = np.ascontiguousarray(fwht_(I, axis=0).T)
-    R = np.empty((q // 2 + 1, size), dtype=np.int64)
-    for c in range(q // 2 + 1):
-        R[c] = np.einsum("vu,vu->u", I[c:], I[:q - c], dtype=np.int64)
-        if c:
-            R[c] += np.einsum("vu,vu->u", I[:c], I[q - c:], dtype=np.int64)
+    size = 1 << f.n
+    R = np.zeros((1, size), dtype=np.int64)
+    R[0, 0] = size * size
+    for g, N in _truncation_norms(f):
+        # row t of R is R_t; N.T is the norm kernel's contiguous basis-major array
+        h = g // 2
+        rows = h + 1 if g == 1 << f.k else g      # R_{-c} = R_c: no caller reads the rest
+        R = np.concatenate((R + N.T, R[:rows - h] - N.T[:rows - h]))
+        del N       # freed before the next truncation's norms are formed
+        if (R[:h] & 1).any():       # row h + t has the parity of row t
+            raise InternalInconsistency(f"difference spectrum mod {g}: odd unfold sum")
+        R >>= 1
     return R
 
 
@@ -412,32 +423,15 @@ def is_zq_bent(f: GeneralizedBooleanFunction) -> ZqBentReport:
     nonzero a.  Route B checks that every truncation f mod 2^{k-t} is gbent
     in GB_n^{2^{k-t}}.
 
-    Both read one difference spectrum R (see _difference_spectra) and make
-    no GWHT.  With q = 2^k, |H_{a f}(u)|^2 = sum_c zeta_q^{a c} R_c(u).  The
-    map e(c) = a c mod q has period g = q / gcd(a, q), so the sum is R folded
-    onto R'_j = sum of R_c over c = j mod g, j < g.  Since
-    e(j + g/2) = e(j) + q/2 and zeta_q^{q/2} = -1, its power-basis
-    coefficients are, up to sign and order, the rows R'_j - R'_{j+g/2} for
-    j < g/2, with coefficient 0 at j = 0.  So (a f) is gbent exactly when
-    that row is 2^n and the others vanish, a test that depends on a only
-    through g.  The truncation f mod g has |H(u)|^2 = sum_c zeta_g^c R_c(u),
-    the same fold with a = 1, so route B reads the same k tests: one per
-    g = 2^k, ..., 2.  R' is symmetric like R, R'_{g-j} = R'_j, so rows
-    j <= g/2 hold it: the test is R'_0 - R'_{g/2} = 2^n with rows 1..g/2-1
-    a palindrome, and the next fold is R'_j + R'_{g/2-j}, taken in place.
-    Every folded entry is at most sum_c |R_c(u)| <= 2^{2n} <= 2^48 in
-    magnitude, so int64 is exact.
+    Both read the k truncation verdicts.  If a = 2^t b with b odd, then
+    zeta_{2^k}^{a f} = zeta_{2^{k-t}}^{b f}, so H_{a f}(u) is the image of
+    H_{f mod 2^{k-t}}(u) under zeta -> zeta^b, a Galois automorphism that
+    commutes with conjugation and fixes 2^n: (a f) is gbent iff f mod 2^{k-t} is.
     """
     if f.n % 2:
         raise GbentError("Z_q-bentness is defined here for even n only")
     q = 1 << f.k
-    R = _difference_spectra(f.values, f.k)
-    flat = {}
-    for g in (q >> i for i in range(f.k)):     # R[:g/2 + 1] holds R' for period g
-        h = g // 2
-        flat[g] = bool((R[0] - R[h] == 1 << f.n).all() and (R[1:h] == R[h - 1:0:-1]).all())
-        if h > 1:
-            R[:h // 2 + 1] += R[h:h // 2 - 1:-1]
+    flat = {g: bool(flat_mask(f.n, N).all()) for g, N in _truncation_norms(f)}
     per_a = tuple(flat[q // math.gcd(a, q)] for a in range(1, q))
     per_t = tuple(flat[q >> t] for t in range(f.k))
     return ZqBentReport(all(per_a), per_a, per_t)
@@ -462,11 +456,10 @@ def verify_rds(f: GeneralizedBooleanFunction) -> bool:
     differences with vanishing V_n part never occur off the diagonal.
 
     The counts N_c(d) = #{x : f(x) - f(x + d) = c} come from the difference
-    spectrum: R_c(u) = sum_d N_c(d) (-1)^{u.d}, so one inverse butterfly of R
-    gives 2^n N_c(d), and the division by 2^n must be exact.  N_{-c} = N_c,
-    so the rows c <= 2^{k-1} decide.  |R_c(u)| <= 2^{2n}, so every partial
-    sum of the butterfly is at most 2^{3n} <= 2^48 under the counting cap
-    n <= 16.
+    spectrum (see _difference_spectrum): R_c(u) = sum_d N_c(d) (-1)^{u.d},
+    so one inverse butterfly of R gives 2^n N_c(d), and the division by 2^n
+    must be exact.  |R_c(u)| <= 2^{2n}, so every partial sum of the
+    butterfly is at most 2^{3n} <= 2^48 under the counting cap n <= 16.
     """
     if f.n % 2:
         raise GbentError("relative difference set check is defined for even n")
@@ -486,7 +479,7 @@ def verify_rds(f: GeneralizedBooleanFunction) -> bool:
     if (totals != lam * (size - 1) + size * (np.arange(q) == 0)).any():
         return False
     # the butterfly runs down contiguous rows, so count with d on axis 0
-    counts = fwht_(np.ascontiguousarray(_difference_spectra(f.values, f.k).T), axis=0)
+    counts = fwht_(np.ascontiguousarray(_difference_spectrum(f).T), axis=0)
     if (counts & (size - 1)).any():
         raise InternalInconsistency("difference counts: 2^n N_c(d) not divisible by 2^n")
     return bool(((counts[1:] >> f.n) == lam).all())

@@ -50,6 +50,7 @@ from .gbf import MAX_K, GeneralizedBooleanFunction, component_walsh, flat_mask, 
 from .hadamard import match_rows, products_hold
 
 SEARCH_BITS_CAP = 24
+CHUNK = 1 << 12     # functions per enumeration chunk
 
 
 def batch_direct_flat(n: int, k: int, V: np.ndarray) -> np.ndarray:
@@ -180,7 +181,7 @@ def _check_space(n: int, k: int) -> None:
         raise GbentError(f"k must be an integer in [1, {MAX_K}], got {k}")
 
 
-def exhaustive_values(n: int, k: int, chunk: int = 1 << 12) -> Iterator[np.ndarray]:
+def exhaustive_values(n: int, k: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
     """All of GB_n^{2^k} as value matrices, lexicographic truth-table order.
 
     The value at point 0 is the most significant digit, so functions are
@@ -225,10 +226,11 @@ def search_gbent(n: int, k: int, count: int | None = None,
                  ) -> tuple[list[GeneralizedBooleanFunction], int]:
     """Gbent functions from exhaustive (count=None) or random enumeration.
 
-    The hits of each chunk are re-verified by one three-route sweep before
-    being returned; a route disagreement or a hit that fails there raises
-    InternalInconsistency.  Returns (found functions, total functions
-    examined).
+    Both modes run CHUNK functions at a time; random chunks consume rng as
+    one draw of all count functions would.  The hits of each chunk are
+    re-verified by one three-route sweep before being returned; a route
+    disagreement or a hit that fails there raises InternalInconsistency.
+    Returns (found functions, total functions examined).
     """
     _check_space(n, k)
     found: list[GeneralizedBooleanFunction] = []
@@ -236,9 +238,12 @@ def search_gbent(n: int, k: int, count: int | None = None,
     if count is None:
         chunks = exhaustive_values(n, k)
     else:
+        if not 0 <= count < 1 << 63:
+            raise GbentError(f"count must be an integer in [0, 2^63), got {count}")
         if rng is None:
             rng = np.random.default_rng()
-        chunks = iter([random_values(rng, n, k, count)])
+        chunks = (random_values(rng, n, k, min(CHUNK, count - start))
+                  for start in range(0, count, CHUNK))
     for V in chunks:
         hits = V[batch_direct_flat(n, k, np.ascontiguousarray(V.T)).all(axis=0)]
         check = sweep_three_routes(n, k, hits)

@@ -12,7 +12,7 @@ from conftest import rds_naive
 from gbent.analysis import (
     BentSpaceReport,
     GbentReport,
-    _difference_spectra,
+    _difference_spectrum,
     _majorities_pass,
     bent_space_report,
     carlet_walsh_identity,
@@ -27,7 +27,7 @@ from gbent.analysis import (
     verify_rds,
 )
 from gbent.boolfn import BooleanFunction, dual, wht
-from gbent.cyclotomic import CyclotomicInt
+from gbent.cyclotomic import CyclotomicInt, norm_squared_coeffs
 
 zeta_pow = CyclotomicInt.zeta_pow
 from gbent.constructions import lift, regular_spread, spread_zqbent
@@ -489,7 +489,7 @@ class TestZqBent:
         rng = np.random.default_rng(5)
         for k, values in ((1, np.zeros(1 << n, dtype=np.int64)),
                           (2, rng.integers(0, 4, size=1 << n))):
-            R = _difference_spectra(values, k)
+            R = _difference_spectrum(GeneralizedBooleanFunction(n, k, values))
             for u in (0, 1, 0xBEEF, (1 << n) - 1):
                 signs = 1 - 2 * (np.bitwise_count(x & u) & 1).astype(np.int64)
                 level = [int(signs[values == v].sum()) for v in range(1 << k)]
@@ -497,7 +497,8 @@ class TestZqBent:
                         for c in range((1 << k) // 2 + 1)]
                 assert R[:, u].tolist() == want
         assert R.dtype == np.int64
-        assert _difference_spectra(np.zeros(1 << n, dtype=np.int64), 1)[0, 0] == 1 << 32
+        zero = GeneralizedBooleanFunction(n, 1, np.zeros(1 << n, dtype=np.int64))
+        assert _difference_spectrum(zero)[0, 0] == 1 << 32
 
     def test_coordinates_span(self):
         assert coordinates_span_bent(
@@ -524,6 +525,18 @@ class TestVerifyRds:
     def test_rejects_large_n(self):
         f = GeneralizedBooleanFunction(18, 1, np.zeros(1 << 18, dtype=np.int64))
         with pytest.raises(GbentError, match=r"exceeds the counting cap"):
+            verify_rds(f)
+
+    def test_odd_unfold_sum_raises(self, monkeypatch):
+        # norms that disagree in parity with R folded mod g/2 are inconsistent
+        def odd(C):
+            N = norm_squared_coeffs(C)
+            N[0, 0] += 1
+            return N
+
+        monkeypatch.setattr("gbent.analysis.norm_squared_coeffs", odd)
+        f = GeneralizedBooleanFunction(2, 1, [0, 0, 0, 1])
+        with pytest.raises(InternalInconsistency, match=r"mod 2: odd unfold sum"):
             verify_rds(f)
 
     def test_k_larger_than_n(self):

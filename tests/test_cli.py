@@ -143,9 +143,9 @@ class TestWorkCounts:
             code, out, _ = run(capsys, *argv)
             return code, out, dict(tally)
 
-        # one norm for the direct route; the Z_16-bent verdict takes none, and
-        # the dual's one norm is the gbentness check of f*
-        assert counts("check", good) == (0, "gbent, Z_16-bent: yes\n", {"norm": 1})
+        # one norm for the direct route and one per truncation for the Z_16-bent
+        # verdict; the dual's one norm is the gbentness check of f*
+        assert counts("check", good) == (0, "gbent, Z_16-bent: yes\n", {"norm": 1 + 4})
         assert counts("dual", good)[::2] == (0, {"norm": 1})
         assert counts("check", bad) == (1, "not gbent\n", {"norm": 1})
 
@@ -159,13 +159,15 @@ class TestWorkCounts:
             start = lines.index(f"# method: {method}") + 3
             assert lines[start:start + len(table)] == table
 
-    def test_zq_makes_no_gwht(self, monkeypatch):
-        # both Z_q routes read the one difference spectrum
-        counts = {}
-        count_calls(monkeypatch, counts, "gwht_coeffs", gbent.gbf.gwht_coeffs)
+    def test_zq_reads_k_truncation_norms(self, monkeypatch):
+        # both Z_q routes read one GWHT and one norm of each truncation f mod 2^j
+        counts, calls = {}, []
+        count_calls(monkeypatch, counts, "gwht_coeffs", gbent.gbf.gwht_coeffs, calls)
         count_calls(monkeypatch, counts, "norm", gbent.cyclotomic.norm_squared_coeffs)
         assert is_zq_bent(SPREAD84).verdict
-        assert counts == {"gwht_coeffs": 0, "norm": 0}
+        assert counts == {"gwht_coeffs": 4, "norm": 4}
+        assert [(V.tolist(), j) for V, j in calls] == [
+            ((SPREAD84.values % (1 << j)).tolist(), j) for j in range(1, 5)]
 
     def test_check_reads_one_component_walsh(self, capsys, n8, monkeypatch):
         # the spectral and quadruple routes test the same component Walsh
@@ -188,7 +190,8 @@ class TestWorkCounts:
             count_calls(monkeypatch, counts, key, getattr(gbent.sweep, key), calls)
         good, bad = n8
         assert [run(capsys, *argv)[0] for argv in
-                (("check", good), ("check", bad), ("dual", good))] == [0, 1, 0]
+                (("check", good), ("check", bad), ("dual", good),
+                 ("zq", good), ("rds", good))] == [0, 1, 0, 0, 0]
         gbent.sweep.sweep_three_routes(3, 2, next(gbent.sweep.exhaustive_values(3, 2)))
         assert counts == {"batch_component_walsh": 3, "batch_direct_flat": 2}
         assert [V.ndim for _, _, V in calls] == [2] * 5
@@ -475,6 +478,11 @@ class TestExitContract:
         name, value, top = ("n", n, 24) if not 1 <= n <= 24 else ("k", k, 12)
         assert run(capsys, "search", str(n), str(k), *mode) == (
             2, "", f"error: {name} must be an integer in [1, {top}], got {value}\n")
+
+    @pytest.mark.parametrize("count", ["-1", "99999999999999999999"])
+    def test_search_random_count_out_of_range(self, capsys, count):
+        assert run(capsys, "search", "2", "2", "--random", count) == (
+            2, "", f"error: count must be an integer in [0, 2^63), got {count}\n")
 
     def test_example1_m_beyond_field(self):
         # a child process with a 1 GB address-space limit and a timeout, so

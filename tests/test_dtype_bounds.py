@@ -15,7 +15,7 @@ import pytest
 
 from conftest import gwht_naive_at, wht_naive
 from gbent.analysis import (
-    _difference_spectra,
+    _difference_spectrum,
     _majorities_pass,
     _majority_walsh,
     bent_space_report,
@@ -221,11 +221,12 @@ def test_difference_spectra(n):
     # R stays int64; the constant f gives R_0(0) = 2^{2n}
     rng = np.random.default_rng(n)
     for k, values in ((2, constant(n, 1)), (3, rng.integers(0, 8, size=1 << n))):
-        R = _difference_spectra(values, k)
+        R = _difference_spectrum(GeneralizedBooleanFunction(n, k, values))
         q = 1 << k
         I = np.zeros((1 << n, q), dtype=np.int64)
         I[np.arange(1 << n), values] = 1
         I = fwht_(I, axis=0).T
         want = [sum(I[(v + c) % q] * I[v] for v in range(q)) for c in range(q // 2 + 1)]
         assert R.dtype == np.int64 and np.array_equal(R, np.array(want))
-    assert _difference_spectra(constant(n, 0), 1)[0, 0] == 1 << (2 * n)
+    zero = GeneralizedBooleanFunction(n, 1, constant(n, 0))
+    assert _difference_spectrum(zero)[0, 0] == 1 << (2 * n)

@@ -12,6 +12,7 @@ from gbent.cyclotomic import CyclotomicInt, norm_squared
 from gbent.errors import GbentError
 from gbent.gbf import GeneralizedBooleanFunction
 from gbent.sweep import (
+    CHUNK,
     batch_component_walsh,
     batch_direct_flat,
     batch_quadruple_verdict,
@@ -180,3 +181,20 @@ class TestSearch:
         assert total == 300
         for f in found:
             assert is_gbent(f)
+
+    def test_random_search_streams_chunks(self, monkeypatch):
+        # CHUNK functions per kernel call, and the seeded hits of one block
+        sizes = []
+
+        def counted(n, k, V):
+            sizes.append(V.shape[1])
+            return batch_direct_flat(n, k, V)
+
+        monkeypatch.setattr("gbent.sweep.batch_direct_flat", counted)
+        count = 2 * CHUNK + 1808
+        found, total = search_gbent(2, 2, count=count, rng=np.random.default_rng(17))
+        V = random_values(np.random.default_rng(17), 2, 2, count)
+        want = V[batch_direct_flat(2, 2, np.ascontiguousarray(V.T)).all(axis=0)]
+        assert total == count and len(found) == len(want) > 0
+        assert np.array_equal([f.values for f in found], want)
+        assert max(sizes) == CHUNK == 4096 and sizes.count(CHUNK) >= 2
