@@ -166,10 +166,10 @@ def _walsh_reports(f: GeneralizedBooleanFunction) -> tuple[GbentReport, ...]:
     """The spectral and (k >= 2) quadruple reports off one walsh_routes pass.
 
     The pass gets a (2^n, 1) table: perfbench's tracer sizes blocks off both axes.
-    Witnesses come from the entries 0 and 2^s of W(u), or for odd n of its
-    nonvanishing half; no verdict depends on them.
+    Witnesses are the spectral pass's signed-row match of W(u), or for odd n
+    of its nonvanishing half; no verdict depends on them.
     """
-    W, halves, spectral, quadruple = walsh_routes(f.n, f.k, f.values[:, None])
+    _, halves, (r, sign, spectral), quadruple = walsh_routes(f.n, f.k, f.values[:, None])
     bad = {"spectral": ~spectral[:, 0]}
     if quadruple is not None:
         magnitudes, relations = quadruple
@@ -177,12 +177,8 @@ def _walsh_reports(f: GeneralizedBooleanFunction) -> tuple[GbentReport, ...]:
         bad["quadruple"] = (off if off.any() else ~relations)[:, 0]
     witnesses = ()
     if not all(b.any() for b in bad.values()):
-        high = None
-        if f.n % 2:
-            low_zero, _, W = halves
-            high = ~low_zero[:, 0]
-        r, sign, _ = match_rows(W[..., 0])
-        witnesses = _witnesses(r, sign, high)
+        high = ~halves[0][:, 0] if f.n % 2 else None
+        witnesses = _witnesses(r[:, 0], sign[:, 0], high)
     return tuple(_report(method, f, () if b.any() else witnesses, np.flatnonzero(b).tolist())
                  for method, b in bad.items())
 
@@ -381,10 +377,10 @@ class ZqBentReport:
     per_t: tuple[bool, ...]
 
 
-def _truncation_norms(f: GeneralizedBooleanFunction):
-    """(g, N) for g = 2, 4, ..., 2^k: N, shape (2^n, g/2), holds the |H|^2
+def _truncation_norms(f: GeneralizedBooleanFunction, top: int):
+    """(g, N) for g = 2, 4, ..., 2^top: N, shape (2^n, g/2), holds the |H|^2
     coefficients of f mod g, from the direct route's GWHT and norm kernels."""
-    for j in range(1, f.k + 1):
+    for j in range(1, top + 1):
         yield 1 << j, norm_squared_coeffs(gwht_coeffs(f.values % (1 << j), j))
 
 
@@ -404,7 +400,7 @@ def _difference_spectrum(f: GeneralizedBooleanFunction) -> np.ndarray:
     size = 1 << f.n
     R = np.zeros((1, size), dtype=np.int64)
     R[0, 0] = size * size
-    for g, N in _truncation_norms(f):
+    for g, N in _truncation_norms(f, f.k):
         # row t of R is R_t; N.T is the norm kernel's contiguous basis-major array
         h = g // 2
         rows = h + 1 if g == 1 << f.k else g      # R_{-c} = R_c: no caller reads the rest
@@ -416,7 +412,7 @@ def _difference_spectrum(f: GeneralizedBooleanFunction) -> np.ndarray:
     return R
 
 
-def is_zq_bent(f: GeneralizedBooleanFunction) -> ZqBentReport:
+def is_zq_bent(f: GeneralizedBooleanFunction, direct: GbentReport | None = None) -> ZqBentReport:
     """Decide Z_q-bentness (even n) by multiples and by truncations.
 
     Route A follows the definition: (a f) mod 2^k must be gbent for every
@@ -427,11 +423,19 @@ def is_zq_bent(f: GeneralizedBooleanFunction) -> ZqBentReport:
     zeta_{2^k}^{a f} = zeta_{2^{k-t}}^{b f}, so H_{a f}(u) is the image of
     H_{f mod 2^{k-t}}(u) under zeta -> zeta^b, a Galois automorphism that
     commutes with conjugation and fixes 2^n: (a f) is gbent iff f mod 2^{k-t} is.
+
+    The top truncation is f itself: given f's direct report (is_gbent_direct),
+    its verdict is read there and only the k - 1 lower truncations are formed.
     """
     if f.n % 2:
         raise GbentError("Z_q-bentness is defined here for even n only")
+    if direct is not None and (direct.method, direct.n, direct.k) != ("direct", f.n, f.k):
+        raise GbentError(f"is_zq_bent needs a direct report for n={f.n}, k={f.k}")
     q = 1 << f.k
-    flat = {g: bool(flat_mask(f.n, N).all()) for g, N in _truncation_norms(f)}
+    flat = {g: bool(flat_mask(f.n, N).all())
+            for g, N in _truncation_norms(f, f.k - (direct is not None))}
+    if direct is not None:
+        flat[q] = direct.verdict
     per_a = tuple(flat[q // math.gcd(a, q)] for a in range(1, q))
     per_t = tuple(flat[q >> t] for t in range(f.k))
     return ZqBentReport(all(per_a), per_a, per_t)

@@ -15,6 +15,7 @@ W_f(u) in {0, +-2^{(n+s)/2}}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,30 +23,57 @@ import numpy as np
 from .errors import FormatError, NotBent
 
 MAX_N = 24
+SHORT_STAGE = 1 << 10      # entries: fwht_ runs a stage on shorter blocks in its scratch
+SCRATCH_BYTES = 1 << 20    # the size of that scratch buffer
 
 
 def fwht_(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """In-place fast Walsh-Hadamard transform along one axis.
+    """In-place fast Walsh-Hadamard transform along one axis of a C-contiguous array.
 
     Applies the +-1 Sylvester-Hadamard matrix H_{2^m} (no normalization):
     out[u] = sum_x (-1)^{popcount(u & x)} a[x].  The axis length must be a
-    power of two.  Returns the same array for convenience.
+    power of two.  Stage h pairs entries h apart, on blocks of h Q entries
+    for Q the trailing size.  Short stages, on blocks under SHORT_STAGE
+    entries, run first when there are at least SHORT_STAGE rows of Q: about
+    SCRATCH_BYTES of blocks at a time are copied into one scratch buffer,
+    in-block index leading.  The long stages then run in place.  H_{2^m} is
+    a tensor product of one H_2 per bit, so the stage order does not change
+    the sums.  A stage maps (lo, hi) to (lo + hi, lo + hi - 2 hi) in place;
+    lo + hi and 2 hi each sum twice the inputs of lo or hi, so every partial
+    sum is a signed sum of at most 2^m entries and the gbf dtype rule holds.
     """
     axis = axis % a.ndim
     n = a.shape[axis]
-    if n & (n - 1):
-        raise ValueError(f"axis length {n} is not a power of two")
-    pre, post = a.shape[:axis], a.shape[axis + 1:]
-    h = 1
-    while h < n:
-        b = a.reshape(pre + (n // (2 * h), 2, h) + post)
-        ix = (slice(None),) * (len(pre) + 1)
-        lo, hi = b[ix + (0,)], b[ix + (1,)]
-        tmp = lo - hi
-        lo += hi
-        hi[...] = tmp
-        h *= 2
+    if n & (n - 1) or not a.flags.c_contiguous:
+        raise ValueError(f"fwht_ needs a C-contiguous array and a power-of-two axis, got {n}")
+    rows, q = math.prod(a.shape[:axis + 1]), math.prod(a.shape[axis + 1:])
+    short = 1
+    while rows >= SHORT_STAGE and short < n and 0 < short * q < SHORT_STAGE:
+        short *= 2
+    if short > 1:
+        blocks = a.reshape(-1, short, q)
+        group = max(1, SCRATCH_BYTES // (short * q * a.itemsize))
+        scratch = np.empty(short * min(group, len(blocks)) * q, dtype=a.dtype)
+        for start in range(0, len(blocks), group):
+            part = blocks[start:start + group]
+            s = scratch[:part.size].reshape(short, len(part), q)
+            s[...] = part.transpose(1, 0, 2)
+            _stages(s.reshape(1, short, -1), 1)
+            part[...] = s.transpose(1, 0, 2)
+    _stages(a.reshape(rows // n, n, q), short)
     return a
+
+
+def _stages(a: np.ndarray, h: int) -> None:
+    """Butterfly stages h, 2h, ... down axis 1 of a contiguous (P, n, Q) array, in place."""
+    P, n, Q = a.shape
+    while h < n:
+        b = a.reshape(P, n // (2 * h), 2, h * Q)
+        lo, hi = b[:, :, 0], b[:, :, 1]
+        lo += hi
+        hi *= -2
+        hi += lo
+        h *= 2
 
 
 def spectrum_dtype(n: int) -> np.dtype:
@@ -136,7 +164,7 @@ class BooleanFunction:
     # -- text and hex forms --------------------------------------------------
 
     def to_text(self) -> str:
-        return f"{self.n}\n{''.join('01'[b] for b in self.table)}\n"
+        return f"{self.n}\n{(self.table + ord('0')).tobytes().decode()}\n"
 
     @classmethod
     def from_text(cls, text: str) -> "BooleanFunction":
@@ -178,10 +206,7 @@ class BooleanFunction:
             vals = np.array([int(c, 16) for c in s], dtype=np.uint8)
         except ValueError as e:
             raise FormatError(f"bad hex digit in {s!r}") from e
-        tab = np.empty((len(s), 4), dtype=np.uint8)
-        for j, shift in enumerate((3, 2, 1, 0)):
-            tab[:, j] = (vals >> shift) & 1
-        return cls(n, tab.reshape(-1))
+        return cls(n, np.unpackbits(vals[:, None], axis=1)[:, 4:].reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)

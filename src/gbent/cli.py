@@ -139,7 +139,7 @@ def _cmd_check(args) -> int:
                   f" failures={list(r.failures)}", file=sys.stderr)
         return 3
     verdict = reports[0].verdict
-    zq = is_zq_bent(f).verdict if verdict and f.n % 2 == 0 else None
+    zq = is_zq_bent(f, reports[0]).verdict if verdict and f.n % 2 == 0 else None
     if args.json:
         _json_out({"verdict": verdict, "zq_bent": zq,
                    "routes": [r.to_json_dict() for r in reports]})

@@ -24,7 +24,8 @@ a value table of shape (2^n,) or a batch of shape (2^n, F) gives arrays of
 shape (2^n, 2^{k-1}) or (2^n, 2^{k-1}, F), indexed by point, basis power or
 component, then function.  One function and a batch run through the same
 code, and every test over the basis or component axis is an elementwise
-operation on contiguous rows of F entries.
+operation on contiguous rows of F entries.  The +-1 tables are gathered
+as whole rows of a table over Z_{2^k}, with one transposed copy per batch.
 
 Dtype rule (spectrum_dtype and the one-step widening live in the boolfn
 module, beside the butterfly): a +-1/0 table that is butterflied over 2^n
@@ -33,12 +34,13 @@ that holds +-2^n:
 
     n <= 6: int8    n <= 14: int16    n <= 30: int32    otherwise int64
 
-Every partial sum at butterfly stage s is a sum of 2^s entries of +-1 or 0,
-so the whole butterfly stays within 2^n.  Any product of two entries, or
-sum of two or more, is taken one step wider (int8 -> int16 -> int32 ->
-int64, int64 staying int64): 2^{2n} and 4 2^n fit there for every n that
-maps to the narrower type.  A longer sum is taken in int64.  GwhtSpectrum
-converts its coefficients to int64 and keeps them so.
+In any stage order (see fwht_) every partial sum is a signed sum of at most
+2^n entries of +-1 or 0, so the whole butterfly stays within 2^n.  Any
+product of two entries, or sum of two or more, is taken one step wider
+(int8 -> int16 -> int32 -> int64, int64 staying int64): 2^{2n} and 4 2^n
+fit there for every n that maps to the narrower type.  A longer sum is
+taken in int64.  GwhtSpectrum converts its coefficients to int64 and keeps
+them so.
 """
 
 from __future__ import annotations
@@ -113,7 +115,8 @@ class GeneralizedBooleanFunction:
     # -- text form -----------------------------------------------------------
 
     def to_text(self) -> str:
-        return f"{self.n} {self.k}\n{' '.join(str(v) for v in self.values)}\n"
+        names = [str(v) for v in range(1 << self.k)]
+        return f"{self.n} {self.k}\n{' '.join(map(names.__getitem__, self.values.tolist()))}\n"
 
     @classmethod
     def from_text(cls, text: str) -> "GeneralizedBooleanFunction":
@@ -136,10 +139,14 @@ class GeneralizedBooleanFunction:
         if len(tokens) != 1 << n:
             raise FormatError(f"expected {1 << n} values, got {len(tokens)}")
         try:
-            vals = np.array([int(t) for t in tokens], dtype=np.int64)
+            vals = np.array(tokens, dtype=np.int64)      # int()'s grammar
         except ValueError as e:
             raise FormatError("values must be integers") from e
-        except OverflowError as e:      # a value beyond int64
+        except OverflowError as e:      # a value beyond int64, or a later non-integer
+            try:
+                [int(t) for t in tokens]
+            except ValueError:
+                raise FormatError("values must be integers") from e
             raise FormatError(f"values must lie in [0, {1 << k})") from e
         if vals.min() < 0 or vals.max() >= (1 << k):
             raise FormatError(f"values must lie in [0, {1 << k})")
@@ -156,23 +163,24 @@ def component_signs(V: np.ndarray, k: int) -> np.ndarray:
 
     Entry (x, i) is (-1)^{a_{k-1}(x)} times the Hadamard row indexed by the
     low k-1 bits of f(x), since g_i(x) = a_{k-1}(x) xor (bits of i).(low bits
-    of f(x)).  For k = 1 the single component is (-1)^{a_0(x)}.  Each
-    component is one gather from its row of that sign table over Z_{2^k}.
-    The dtype is spectrum_dtype(n).
+    of f(x)).  For k = 1 the single component is (-1)^{a_0(x)}.  Row v of
+    the sign table over Z_{2^k} holds the signs of all components at value
+    v, and one gather of whole rows reads them off.  The dtype is
+    spectrum_dtype(n).
     """
-    m = 1 << (k - 1)
-    v = np.arange(1 << k, dtype=np.uint32)
-    i = np.arange(m, dtype=np.uint32)[:, None]
+    v = np.arange(1 << k, dtype=np.uint32)[:, None]
+    i = np.arange(1 << (k - 1), dtype=np.uint32)
     bits = ((v >> (k - 1)) ^ (np.bitwise_count(v & i) & 1)).astype(_points_dtype(V))
     return _gather(1 - 2 * bits, V)
 
 
-def _gather(table: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """out[:, c] = table[c][V] for a (m, 2^k) table: shape (2^n, m, ...), table's dtype."""
-    out = np.empty(V.shape[:1] + table.shape[:1] + V.shape[1:], dtype=table.dtype)
-    for c in range(len(table)):
-        np.take(table[c], V, out=out[:, c])
-    return out
+def _gather(rows: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """out[x, c, ...] = rows[V[x, ...], c] for a (2^k, m) table: shape (2^n, m, ...).
+
+    One take of whole rows, in rows' dtype.  For a 1-D or (2^n, 1) table V
+    the result is already contiguous; a batch makes one transposed copy.
+    """
+    return np.ascontiguousarray(np.moveaxis(np.take(rows, V, axis=0), -1, 1))
 
 
 def component_walsh(V: np.ndarray, k: int) -> np.ndarray:
@@ -256,12 +264,12 @@ def zeta_powers(V: np.ndarray, k: int) -> np.ndarray:
 
     zeta^v is +-1 times a basis power (sign from the top bit of v), so the
     result, of shape (2^n, 2^{k-1}, ...) and dtype spectrum_dtype(n), has one
-    +-1 entry per row.  Basis power t is one gather from row t of the table
-    of all zeta^v, v in Z_{2^k}, as component_signs gathers its signs.
+    +-1 entry per row, gathered from the table of all zeta^v, v in Z_{2^k},
+    as component_signs gathers its sign rows.
     """
     m = 1 << (k - 1)
     eye = np.eye(m, dtype=_points_dtype(V))
-    return _gather(np.hstack([eye, -eye]), V)
+    return _gather(np.vstack([eye, -eye]), V)
 
 
 def gwht_coeffs(V: np.ndarray, k: int) -> np.ndarray:

@@ -76,19 +76,22 @@ def split_halves(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low_zero, high_zero, np.where(low_zero[:, None], high, low)
 
 
-def batch_spectral_pass(n: int, k: int, W: np.ndarray, halves: tuple | None) -> np.ndarray:
-    """(2^n, F) mask: the component vector W(u) has the gbent shape.
+def batch_spectral_pass(n: int, k: int, W: np.ndarray, halves: tuple | None) -> tuple:
+    """(r, sign, mask): mask, (2^n, F), holds where W(u) has the gbent shape.
 
     Even n: W(u) = +-2^{n/2} H^{(r)}.  Odd n: one half of W(u) vanishes and
     the other is +-2^{(n+1)/2} H^{(r)}; impossible for k = 1.  halves is
-    split_halves(W) for odd n and unused for even n.
+    split_halves(W) for odd n and unused for even n.  r and sign, the
+    witness columns where mask holds, are match_rows' signed-row match of
+    W, or for odd n of the active half (None for k = 1).
     """
     if n % 2 == 0:
-        return match_rows(W, 1 << (n // 2))[2]
-    if k == 1:
-        return np.zeros(W.shape[:1] + W.shape[2:], dtype=bool)
+        return match_rows(W, 1 << (n // 2))
     low_zero, high_zero, active = halves
-    return (low_zero ^ high_zero) & match_rows(active, 1 << ((n + 1) // 2))[2]
+    if k == 1:
+        return None, None, np.zeros(low_zero.shape, dtype=bool)
+    r, sign, ok = match_rows(active, 1 << ((n + 1) // 2))
+    return r, sign, (low_zero ^ high_zero) & ok
 
 
 def _magnitudes(n: int, W: np.ndarray) -> np.ndarray:
@@ -128,8 +131,8 @@ def walsh_routes(n: int, k: int, V: np.ndarray) -> tuple:
     """(W, halves, spectral, quadruple): the one pass both Walsh routes read.
 
     W = batch_component_walsh(n, k, V), halves = split_halves(W) for odd n
-    (else None), spectral = batch_spectral_pass(n, k, W, halves), and
-    quadruple = quadruple_masks(n, W, halves) for k >= 2 (else None).
+    (else None), the triple spectral = batch_spectral_pass(n, k, W, halves),
+    and quadruple = quadruple_masks(n, W, halves) for k >= 2 (else None).
     """
     W = batch_component_walsh(n, k, V)
     halves = split_halves(W) if n % 2 else None
@@ -164,7 +167,7 @@ def sweep_three_routes(n: int, k: int, V: np.ndarray) -> SweepResult:
     """
     V = np.ascontiguousarray(np.asarray(V, dtype=np.int64).T)
     direct = batch_direct_flat(n, k, V)
-    _, _, spectral, quadruple = walsh_routes(n, k, V)
+    _, _, (_, _, spectral), quadruple = walsh_routes(n, k, V)
     bad = (direct != spectral).any(axis=0)
     verdicts = direct.all(axis=0)
     if quadruple is not None:

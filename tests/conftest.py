@@ -21,6 +21,25 @@ def wht_naive(f: BooleanFunction) -> np.ndarray:
     return H @ (1 - 2 * f.table.astype(np.int64))
 
 
+def fwht_reference(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Radix-2 Walsh-Hadamard butterfly along one axis, stage h = 1, 2, 4, ...
+    in place on a copy of a: the stage loop boolfn.fwht_ reorders."""
+    a = np.array(a)
+    axis = axis % a.ndim
+    n = a.shape[axis]
+    pre, post = a.shape[:axis], a.shape[axis + 1:]
+    h = 1
+    while h < n:
+        b = a.reshape(pre + (n // (2 * h), 2, h) + post)
+        ix = (slice(None),) * (len(pre) + 1)
+        lo, hi = b[ix + (0,)], b[ix + (1,)]
+        tmp = lo - hi
+        lo += hi
+        hi[...] = tmp
+        h *= 2
+    return a
+
+
 def gwht_naive_at(values, n: int, k: int, u: int) -> CyclotomicInt:
     """Definitional GWHT at one point, term by term in Z[zeta_{2^k}]."""
     acc = CyclotomicInt.zero(k)

@@ -307,8 +307,8 @@ class TestReportFormat:
                 raise SystemExit("contradictory report accepted")
             except InternalInconsistency:
                 pass
-            sweep.batch_spectral_pass = lambda n, k, W, halves: np.zeros(
-                W.shape[:1] + W.shape[2:], bool)
+            sweep.batch_spectral_pass = lambda n, k, W, halves: (None, None, np.zeros(
+                W.shape[:1] + W.shape[2:], bool))
             try:
                 sweep.search_gbent(2, 2)
                 raise SystemExit("search returned hits the routes disagree on")
@@ -481,6 +481,23 @@ class TestZqBent:
             kinds.add((rep.per_a[0], rep.verdict, any(rep.per_a)))
         # Z_q-bent, gbent but not Z_q-bent, and neither with some multiple gbent
         assert {(True, True, True), (True, False, True), (False, False, True)} <= kinds
+
+    def test_direct_report_stands_for_the_top_truncation(self):
+        # given f's direct report, the verdict of f mod 2^k is read off it and
+        # the k - 1 lower truncations decide the rest, as without it
+        rng = np.random.default_rng(7)
+        fs = [SEED22, lift(SEED22, 4), spread_zqbent(regular_spread(3), 3, range(8)),
+              *(GeneralizedBooleanFunction(4, k, rng.integers(0, 1 << k, 16))
+                for k in (1, 2, 3))]
+        for f in fs:
+            assert is_zq_bent(f, is_gbent_direct(f)) == is_zq_bent(f)
+
+    def test_rejects_another_report(self):
+        f = lift(SEED22, 3)
+        for rep in (is_gbent_spectral(f), is_gbent_direct(SEED22),
+                    is_gbent_direct(GeneralizedBooleanFunction(4, 3, np.zeros(16, int)))):
+            with pytest.raises(GbentError, match=r"needs a direct report for n=2, k=3"):
+                is_zq_bent(f, rep)
 
     def test_difference_spectra_int64_extremes(self):
         # f = 0 at n = 16 gives R_0(0) = 2^32, beyond what int32 products hold

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -23,6 +24,7 @@ from gbent.analysis import is_gbent, is_zq_bent
 from gbent.boolfn import BooleanFunction
 from gbent.cli import main
 from gbent.constructions import regular_spread, spread_zqbent
+from gbent.errors import FormatError
 from gbent.gbf import GeneralizedBooleanFunction, gwht
 
 SEED22 = "2 2\n0 1 0 3\n"
@@ -143,9 +145,10 @@ class TestWorkCounts:
             code, out, _ = run(capsys, *argv)
             return code, out, dict(tally)
 
-        # one norm for the direct route and one per truncation for the Z_16-bent
-        # verdict; the dual's one norm is the gbentness check of f*
-        assert counts("check", good) == (0, "gbent, Z_16-bent: yes\n", {"norm": 1 + 4})
+        # one norm for the direct route and one per lower truncation for the
+        # Z_16-bent verdict, which reads f mod 16 off the direct report; the
+        # dual's one norm is the gbentness check of f*
+        assert counts("check", good) == (0, "gbent, Z_16-bent: yes\n", {"norm": 1 + 3})
         assert counts("dual", good)[::2] == (0, {"norm": 1})
         assert counts("check", bad) == (1, "not gbent\n", {"norm": 1})
 
@@ -548,6 +551,107 @@ class TestFuzzedIntegers:
             code, err = run_quiet("transform", str(f), "--A", str(a), "--B", str(b))
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+
+
+def from_text_reference(text: str) -> GeneralizedBooleanFunction:
+    """The value-file reader with a per-token int() loop, as an oracle."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise FormatError("empty input")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise FormatError(f"header must be 'n k', got {lines[0]!r}")
+    try:
+        n, k = int(header[0]), int(header[1])
+    except ValueError as e:
+        raise FormatError(f"bad header {lines[0]!r}") from e
+    if not 1 <= n <= 24:
+        raise FormatError(f"n out of range: {n}")
+    if not 1 <= k <= 12:
+        raise FormatError(f"k out of range: {k}")
+    tokens = " ".join(lines[1:]).split()
+    if len(tokens) != 1 << n:
+        raise FormatError(f"expected {1 << n} values, got {len(tokens)}")
+    try:
+        vals = np.array([int(t) for t in tokens], dtype=np.int64)
+    except ValueError as e:
+        raise FormatError("values must be integers") from e
+    except OverflowError as e:
+        raise FormatError(f"values must lie in [0, {1 << k})") from e
+    if vals.min() < 0 or vals.max() >= (1 << k):
+        raise FormatError(f"values must lie in [0, {1 << k})")
+    return GeneralizedBooleanFunction(n, k, vals)
+
+
+# tokens int() reads or refuses: signs, underscores, leading zeros, other
+# scripts' digits, floats, hex, superscripts, and values past int64
+ODD_TOKENS = st.sampled_from(["+5", "1_0", "007", "-0", "\u0661\u0662", "\uff11\uff12",
+                              "\U0001d7d3", "1.0", "0x10", "1__0", "\u00b2", "nan", "_1",
+                              "1_", "\x005", "9" * 30, "-" + "9" * 30, "1" * 5000])
+TEXT_TOKENS = st.one_of(TOKENS.map(str), ODD_TOKENS,
+                        st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc")),
+                                min_size=1, max_size=3))
+
+
+@st.composite
+def value_texts(draw):
+    """A value file: header "n k", then 2^n tokens (sometimes one more or less)."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.one_of(st.integers(1, 4), TEXT_TOKENS))
+    count = (1 << n) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    tokens = draw(st.lists(st.one_of(st.integers(0, (1 << 4) - 1).map(str), TEXT_TOKENS),
+                           min_size=count, max_size=count))
+    return f"{n} {k}\n{' '.join(tokens)}\n"
+
+
+FILE_COMMANDS = (["check"], ["gwht"], ["zq"], ["rds"], ["dual"], ["gray"], ["lift", "3"],
+                 ["space"])
+
+
+def run_file_commands(data: bytes) -> None:
+    """Every command that reads a value file exits 0, 1 or 2 without a traceback."""
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "f.gbf"
+        p.write_bytes(data)
+        for cmd in FILE_COMMANDS:
+            code, err = run_quiet(cmd[0], str(p), *cmd[1:])
+            assert code in (0, 1, 2), (cmd, code)
+            assert "Traceback" not in err
+
+
+class TestFuzzedFiles:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.binary(max_size=80))
+    def test_bytes(self, data):
+        run_file_commands(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=value_texts())
+    def test_token_texts(self, text):
+        run_file_commands(text.encode())
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=value_texts())
+    def test_reader_matches_the_int_loop(self, text):
+        try:
+            want = from_text_reference(text)
+        except FormatError as e:
+            with pytest.raises(FormatError) as got:
+                GeneralizedBooleanFunction.from_text(text)
+            assert str(got.value) == str(e)
+        else:
+            assert GeneralizedBooleanFunction.from_text(text) == want
+
+    @pytest.mark.parametrize("tokens,message", [
+        (["99999999999999999999", "x"], "values must be integers"),
+        (["x", "99999999999999999999"], "values must be integers"),
+        (["99999999999999999999", "1"], "values must lie in [0, 4)"),
+        (["-" + "9" * 20, "1_0"], "values must lie in [0, 4)"),
+    ])
+    def test_non_integer_outranks_overflow(self, tokens, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            GeneralizedBooleanFunction.from_text(f"1 2\n{' '.join(tokens)}\n")
 
 
 class TestEntryPoint:

@@ -61,7 +61,7 @@ class TestBatchKernels:
         # the scalar reference is the per-u definitional sum, not a route
         V = random_values(rng, n, k, 40)
         direct = batch_direct_flat(n, k, V.T)
-        _, _, spectral, quadruple = walsh_routes(n, k, V.T)
+        _, _, (_, _, spectral), quadruple = walsh_routes(n, k, V.T)
         if k >= 2:
             quad = batch_quadruple_verdict(*quadruple)
         for i in range(len(V)):
@@ -79,8 +79,9 @@ class TestBatchKernels:
         V = np.vstack([V] + [f.values for f in hits[:8]])
 
         def kernels(values):
-            W, _, spectral, quadruple = walsh_routes(n, k, values)
-            return [batch_direct_flat(n, k, values), W, spectral, *(quadruple or ())]
+            W, _, (r, sign, spectral), quadruple = walsh_routes(n, k, values)
+            return [batch_direct_flat(n, k, values), W, spectral, *(quadruple or ()),
+                    *(c for c in (r, sign) if c is not None)]
 
         batch = kernels(np.ascontiguousarray(V.T))
         for i, values in enumerate(V):
