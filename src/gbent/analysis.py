@@ -10,8 +10,12 @@ Three independent routes decide gbentness and must always agree:
   quadruple  component (semi-)bentness plus the product relations
              W_{g_j} W_{g_c} = W_{g_l} W_{g_v} on zero-sum index quadruples
 
-Each route is the one-function call of its batch kernel in the sweep
-module, so a single function and a sweep share one implementation.  The per-u
+Each route runs the kernels of its batch counterpart in the sweep module
+on one function, so a single function and a sweep share one implementation.
+The spectral and quadruple routes are the one-function call of that kernel;
+the direct route reaches the GWHT and flatness kernels through gwht() and
+GwhtSpectrum, which add an int64 copy of the coefficients and the
+generalized Parseval check.  The per-u
 witness columns of a passing report (the Hadamard row index r(u), the
 sign, and for odd n which half of the component spectrum vanishes) are
 read off the same arrays: the GWHT coefficient rows for the direct route,

@@ -227,13 +227,10 @@ class WalshSpectrum:
             raise ValueError(f"values must have length 2^{self.n}")
         if int(np.abs(vals).max()) > 1 << self.n:
             raise ValueError("Parseval check failed: |value| exceeds 2^n")
+        # rows of up to 2^14 squares, each <= 2^{2n}, sum to at most
+        # 2^{14 + 2n} <= 2^62 in int64; the outer sum is arbitrary-precision
         sq = vals * vals
-        if self.n <= 14:
-            total = int(sq.sum())
-        else:
-            # chunks of 2^14 squares, each <= 2^{2n} <= 2^48, stay inside
-            # int64; the outer sum is arbitrary-precision
-            total = sum(int(c) for c in sq.reshape(-1, 1 << 14).sum(axis=1))
+        total = sum(int(c) for c in sq.reshape(-1, 1 << min(self.n, 14)).sum(axis=1))
         if total != 1 << (2 * self.n):
             raise ValueError("Parseval check failed: sum of squares != 2^(2n)")
         if self.n >= 1 and (vals & 1).any():

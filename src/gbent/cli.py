@@ -105,10 +105,8 @@ def _cmd_wht(args) -> int:
     if args.json:
         return _json_out({"n": f.n, "kind": cls.kind, "s": cls.s,
                           "values": spec.values.tolist()})
-    print(f"# wht n={f.n}")
-    print(f"# class: {cls.kind} s={cls.s}")
-    for u in range(1 << f.n):
-        print(f"{u} {spec.values[u]}")
+    rows = "".join(f"{u} {v}\n" for u, v in enumerate(spec.values.tolist()))
+    sys.stdout.write(f"# wht n={f.n}\n# class: {cls.kind} s={cls.s}\n{rows}")
     return 0
 
 
@@ -120,12 +118,11 @@ def _cmd_gwht(args) -> int:
         return _json_out({"n": f.n, "k": f.k,
                           "coeffs": spec.coeffs.tolist(),
                           "norm2": norms.tolist()})
-    print(f"# gwht n={f.n} k={f.k}")
-    print("# u, power-basis coefficients of H(u), norm-squared coefficients")
-    for u in range(1 << f.n):
-        cs = " ".join(str(c) for c in spec.coeffs[u])
-        ns = " ".join(str(c) for c in norms[u])
-        print(f"{u} | {cs} | {ns}")
+    rows = "".join(f"{u} | {' '.join(map(str, cs))} | {' '.join(map(str, ns))}\n"
+                   for u, (cs, ns) in enumerate(zip(spec.coeffs.tolist(), norms.tolist())))
+    sys.stdout.write(f"# gwht n={f.n} k={f.k}\n"
+                     "# u, power-basis coefficients of H(u), norm-squared coefficients\n"
+                     + rows)
     return 0
 
 

@@ -17,12 +17,13 @@ designated splitting subspace when its mask is supplied.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import gbent_verdict, is_zq_bent
-from .boolfn import BooleanFunction, classify, dual, wht
+from .boolfn import MAX_N, BooleanFunction, classify, dual, wht
 from .errors import (
     DualSumNonzero,
     GbentError,
@@ -45,22 +46,22 @@ def _field_ops(m: int):
 # -- spreads ------------------------------------------------------------------
 
 
-def _f2_basis(points) -> list[int]:
-    basis: list[int] = []
-    for p in points:
-        for b in basis:
-            p = min(p, p ^ b)
-        if p:
-            basis.append(p)
-            basis.sort(reverse=True)
-    return basis
+def _span_rank(vecs) -> np.ndarray:
+    """F_2-rank of the bitmask vectors along the last axis, per leading index:
+    per bit, a pivot (the first vector with it) is xored into all with it."""
+    v = np.array(vecs)
+    rank = np.zeros(v.shape[:-1], dtype=np.int64)
+    for j in range(int(v.max(initial=0)).bit_length()):
+        has = ((v >> j) & 1).astype(bool)
+        pivot = np.take_along_axis(v, has.argmax(axis=-1)[..., None], axis=-1)
+        v ^= has * pivot
+        rank += has.any(axis=-1)
+    return rank
 
 
-def _span(basis) -> set[int]:
-    out = {0}
-    for b in basis:
-        out |= {s ^ b for s in out}
-    return out
+def _f2_rank(mat: np.ndarray) -> int:
+    """Rank of a bit matrix; its rows become bitmasks, as Python ints for any width."""
+    return int(_span_rank((mat.astype(object) << np.arange(mat.shape[1])).sum(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,8 @@ class Spread:
     """2^m + 1 subspaces of V_{2m} of dimension m meeting pairwise in 0.
 
     subspaces[0] is the distinguished line assigned value 0 by the spread
-    construction; the remaining lines are indexed 1..2^m.
+    construction; the remaining lines are indexed 1..2^m.  Validation keeps
+    them as sets in _lines: row s holds line s's points in increasing order.
     """
 
     n: int
@@ -81,19 +83,25 @@ class Spread:
         if len(self.subspaces) != (1 << m) + 1:
             raise ValueError(
                 f"expected {(1 << m) + 1} subspaces, got {len(self.subspaces)}")
-        seen_nonzero: set[int] = set()
-        for pts in self.subspaces:
-            s = set(pts)
-            if len(s) != 1 << m or 0 not in s:
-                raise ValueError("each subspace must have 2^m points including 0")
-            if _span(_f2_basis(s)) != s:
-                raise ValueError("subspace set is not F_2-linear")
-            nz = s - {0}
-            if seen_nonzero & nz:
-                raise ValueError("subspaces overlap outside 0")
-            seen_nonzero |= nz
-        if len(seen_nonzero) != (1 << self.n) - 1:
-            raise ValueError("subspaces do not cover V_n")
+        size = 1 << self.n
+        line = np.repeat(np.arange(len(self.subspaces)), list(map(len, self.subspaces)))
+        pts = np.array([*itertools.chain.from_iterable(self.subspaces)])
+        if pts.dtype.kind not in "biu" or ((pts < 0) | (pts >= size)).any():
+            raise ValueError(f"subspace points must lie in V_{self.n} = [0, {size})")
+        key = np.sort(line * size + pts.astype(np.int64))
+        line, pts = np.divmod(key[np.diff(key, prepend=-1) != 0], size)
+        if ((np.bincount(line, minlength=len(self.subspaces)) != 1 << m).any()
+                or pts.reshape(-1, 1 << m)[:, 0].any()):
+            raise ValueError("each subspace must have 2^m points including 0")
+        lines = pts.reshape(-1, 1 << m)             # 0 first in each row
+        # 2^m points with 0 span 2^rank points, so they are closed under
+        # addition exactly when the rank is m
+        if (_span_rank(lines) != m).any():
+            raise ValueError("subspace set is not F_2-linear")
+        # (2^m + 1)(2^m - 1) = 2^n - 1 nonzero points: no overlap means cover
+        if (np.bincount(lines[:, 1:].ravel(), minlength=size)[1:] != 1).any():
+            raise ValueError("subspaces overlap outside 0 and do not cover V_n")
+        object.__setattr__(self, "_lines", lines)
 
     @property
     def m(self) -> int:
@@ -105,11 +113,9 @@ def regular_spread(m: int) -> Spread:
     if not 1 <= m <= 8:
         raise ValueError(f"regular spread supported for 1 <= m <= 8, got {m}")
     mul, _ = _field_ops(m)
-    size = 1 << m
-    lines = [tuple(y << m for y in range(size))]
-    for s in range(size):
-        lines.append(tuple(x + (mul(s, x) << m) for x in range(size)))
-    return Spread(2 * m, tuple(lines))
+    x = np.arange(1 << m)
+    lines = np.vstack([x << m, x + (mul(x[:, None], x) << m)])
+    return Spread(2 * m, tuple(map(tuple, lines.tolist())))
 
 
 def spread_zqbent(spread: Spread, k: int,
@@ -123,19 +129,15 @@ def spread_zqbent(spread: Spread, k: int,
     m = spread.m
     if k > m:
         raise GbentError(f"k = {k} exceeds the spread parameter m = {m}")
-    phi = list(phi)
+    phi = np.array(list(phi))
     if len(phi) != 1 << m:
         raise GbentError(f"phi must have 2^m = {1 << m} entries")
-    if not all(0 <= v < 1 << k for v in phi):
+    if phi.dtype.kind not in "biu" or ((phi < 0) | (phi >= 1 << k)).any():
         raise GbentError(f"phi values must lie in [0, {1 << k})")
-    counts = np.bincount(np.asarray(phi), minlength=1 << k)
-    if not (counts == 1 << (m - k)).all():
+    if (np.bincount(phi, minlength=1 << k) != 1 << (m - k)).any():
         raise GbentError("phi must take each value exactly 2^{m-k} times")
     values = np.zeros(1 << spread.n, dtype=np.int64)
-    for s, pts in enumerate(spread.subspaces[1:], start=1):
-        for x in pts:
-            if x:
-                values[x] = phi[s - 1]
+    values[spread._lines[1:, 1:]] = phi[:, None]
     f = GeneralizedBooleanFunction(spread.n, k, values)
     if m <= 4 and not is_zq_bent(f).verdict:
         raise InternalInconsistency("spread construction is not Z_q-bent")
@@ -157,14 +159,9 @@ def mm_bent(m: int, pi) -> BooleanFunction:
     if sorted(pi) != list(range(1 << m)):
         raise GbentError("pi must be a permutation of GF(2^m)")
     mul, tr = _field_ops(m)
-    size = 1 << m
-    table = np.zeros(size * size, dtype=np.uint8)
-    for y in range(size):
-        py = pi[y]
-        base = y << m
-        for x in range(size):
-            table[base + x] = tr(mul(x, py))
-    f = BooleanFunction(2 * m, table)
+    x = np.arange(1 << m)
+    table = tr(mul(x, np.array(pi)[:, None])).astype(np.uint8)
+    f = BooleanFunction(2 * m, table.ravel())
     if classify(wht(f)).kind != "Bent":
         raise InternalInconsistency("Tr(x pi(y)) failed the bentness check")
     return f
@@ -178,26 +175,21 @@ def example1(m: int, c: int = 1) -> GeneralizedBooleanFunction:
     0^d = 0.  The exponent condition gcd(11, 2^m - 1) = 1 is checked
     independently of the divisibility conditions on m.
     """
-    if m % 4 != 0 or m % 5 == 0:
-        raise GbentError(f"need 4 | m and 5 not | m, got m = {m}")
+    # bounds m before 2^m - 1 is formed or a 2^m x 2^m grid is allocated
+    if m % 4 != 0 or m % 5 == 0 or not 4 <= m <= MAX_N // 2:
+        raise GbentError(
+            f"need 4 | m and 5 not | m, with 4 <= m <= {MAX_N // 2}, got m = {m}")
     if c < 1 or c.bit_length() > m:
-        # c in [1, 2^m); Field.mul assumes bitmasks and loops forever on c < 0
+        # c in [1, 2^m), the domain of Field.mul
         raise GbentError("c must be a nonzero field element")
-    fld = Field(m)                      # bounds m before 2^m - 1 is formed
+    fld = Field(m)
     d = inverse_exponent(11, m)
     b = fld.find_root(0b10011)
     mults = (fld.mul(c, 1 ^ b), fld.mul(c, 1 ^ fld.inv(b)), c)
-    size = 1 << m
-    yd = [fld.pow(y, d) for y in range(size)]
-    values = np.zeros(size * size, dtype=np.int64)
-    for y in range(size):
-        base = y << m
-        for x in range(size):
-            t = fld.mul(yd[y], x)
-            values[base + x] = (fld.trace(fld.mul(mults[0], t))
-                                + 2 * fld.trace(fld.mul(mults[1], t))
-                                + 4 * fld.trace(fld.mul(mults[2], t)))
-    f = GeneralizedBooleanFunction(2 * m, 3, values)
+    x = np.arange(fld.order)
+    t = fld.mul(fld.pow(x, d)[:, None], x)          # y^d x at row y, column x
+    values = sum(fld.trace(fld.mul(cj, t)) << j for j, cj in enumerate(mults))
+    f = GeneralizedBooleanFunction(2 * m, 3, values.ravel())
     if m == 4 and not is_zq_bent(f).verdict:
         raise InternalInconsistency("trace construction is not Z_8-bent")
     return f
@@ -238,10 +230,6 @@ def mesnager_secondary(g0: BooleanFunction, g1: BooleanFunction,
 
 
 # -- equivalence and lifting --------------------------------------------------
-
-
-def _f2_rank(mat: np.ndarray) -> int:
-    return len(_f2_basis(sum(int(b) << j for j, b in enumerate(row)) for row in mat))
 
 
 def _validate_bit_matrix(mat: np.ndarray, size: int, name: str) -> np.ndarray:

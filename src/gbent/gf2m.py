@@ -6,6 +6,9 @@ irreducible modulus; the default modulus is the lexicographically smallest
 irreducible polynomial of degree m, which gives the classical choices
 x^4 + x + 1 for m = 4 and x^8 + x^4 + x^3 + x + 1 for m = 8.
 Irreducibility is verified at construction by trial division.
+
+Every operation but inv is elementwise over broadcasting int64 arrays, and
+returns an int for int inputs, so a formula is evaluated once over a grid.
 """
 
 from __future__ import annotations
@@ -14,18 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from .errors import DivisionByZero, GbentError, InternalInconsistency
-
-
-def _pmul(a: int, b: int) -> int:
-    """Carry-less (polynomial) product of two bitmasks."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
 
 
 def _pmod(a: int, p: int) -> int:
@@ -60,9 +54,9 @@ def default_modulus(m: int) -> int:
 class Field:
     """GF(2^m) in polynomial-basis representation.
 
-    modulus = 0 selects the default irreducible for the degree.  All
-    operations take and return plain int bitmasks; rendering to hex is
-    provided for file and report output.
+    modulus = 0 selects the default irreducible for the degree.  Elements
+    are int bitmasks, or int64 arrays of them for the elementwise
+    operations.
     """
 
     m: int
@@ -78,19 +72,38 @@ class Field:
                 f"modulus degree {self.modulus.bit_length() - 1} != m = {self.m}")
         if not _is_irreducible(self.modulus):
             raise ValueError(f"modulus {self.modulus:#x} is reducible")
+        # Tr is F_2-linear: Tr(a) is the parity of a & T, where bit i of T is
+        # Tr(x^i), formed from the definition x^i + x^{2i} + x^{4i} + ...
+        t = acc = 1 << np.arange(self.m)
+        for _ in range(self.m - 1):
+            acc = self.mul(acc, acc)
+            t = t ^ acc
+        if (t > 1).any():
+            raise InternalInconsistency(f"a trace in GF(2^{self.m}) is not a bit: {t}")
+        object.__setattr__(self, "_trace_mask", int((t << np.arange(self.m)).sum()))
 
     @property
     def order(self) -> int:
         return 1 << self.m
 
-    def mul(self, a: int, b: int) -> int:
-        return _pmod(_pmul(a, b), self.modulus)
+    def mul(self, a, b):
+        """Product of elements a, b in [0, 2^m), elementwise; not defined outside.
 
-    def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply; pow(a, 0) = 1 including a = 0."""
+        The carry-less product has degree <= 2m - 2; the modulus then clears
+        degrees 2m - 2 down to m.
+        """
+        r = 0
+        for i in range(self.m):
+            r ^= (a << i) * ((b >> i) & 1)
+        for i in range(2 * self.m - 2, self.m - 1, -1):
+            r ^= (self.modulus << (i - self.m)) * ((r >> i) & 1)
+        return r
+
+    def pow(self, a, e: int):
+        """a^e by square-and-multiply, elementwise in a; a^0 = 1 including 0^0."""
         if e < 0:
             raise ValueError("negative exponent; use inv() first")
-        r, base = 1, a
+        r, base = a ** 0, a                 # 1, shaped like a
         while e:
             if e & 1:
                 r = self.mul(r, base)
@@ -103,18 +116,15 @@ class Field:
             raise DivisionByZero("0 has no multiplicative inverse")
         return self.pow(a, self.order - 2)
 
-    def trace(self, a: int) -> int:
-        """Absolute trace a + a^2 + a^4 + ... + a^{2^{m-1}}, in {0, 1}."""
-        t, acc = a, a
-        for _ in range(self.m - 1):
-            acc = self.mul(acc, acc)
-            t ^= acc
-        if t not in (0, 1):
-            raise InternalInconsistency(f"trace of {a} in GF(2^{self.m}) is {t}, not a bit")
-        return t
+    def trace(self, a):
+        """Absolute trace a + a^2 + a^4 + ... + a^{2^{m-1}}, in {0, 1}, elementwise."""
+        t = a & self._trace_mask
+        for s in (8, 4, 2, 1):          # parity of the m <= 16 bits
+            t ^= t >> s
+        return t & 1
 
-    def poly_eval(self, poly: int, x: int) -> int:
-        """Evaluate a polynomial with F_2 coefficients at a field element."""
+    def poly_eval(self, poly: int, x):
+        """Evaluate a polynomial with F_2 coefficients at x, elementwise."""
         acc = 0
         for i in range(poly.bit_length() - 1, -1, -1):
             acc = self.mul(acc, x) ^ ((poly >> i) & 1)
@@ -122,9 +132,9 @@ class Field:
 
     def find_root(self, poly: int) -> int:
         """Smallest field element annihilating the given F_2 polynomial."""
-        for e in range(self.order):
-            if self.poly_eval(poly, e) == 0:
-                return e
+        roots = np.flatnonzero(self.poly_eval(poly, np.arange(self.order)) == 0)
+        if roots.size:
+            return int(roots[0])
         raise GbentError(f"{poly:#b} has no root in GF(2^{self.m})")
 
 

@@ -184,7 +184,7 @@ def _check_space(n: int, k: int) -> None:
         raise GbentError(f"k must be an integer in [1, {MAX_K}], got {k}")
 
 
-def exhaustive_values(n: int, k: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
+def exhaustive_values(n: int, k: int) -> Iterator[np.ndarray]:
     """All of GB_n^{2^k} as value matrices, lexicographic truth-table order.
 
     The value at point 0 is the most significant digit, so functions are
@@ -199,8 +199,8 @@ def exhaustive_values(n: int, k: int, chunk: int = CHUNK) -> Iterator[np.ndarray
     total = 1 << bits
     mask = (1 << k) - 1
     shifts = np.array([k * (N - 1 - x) for x in range(N)], dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
         yield (idx[:, None] >> shifts) & mask
 
 

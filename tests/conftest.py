@@ -70,6 +70,30 @@ def rds_naive(values, n: int, k: int) -> bool:
     return True
 
 
+def gf_mul_naive(a: int, b: int, modulus: int) -> int:
+    """Field product of two bitmasks: shift-and-add carry-less product, then
+    long division by the modulus."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    dp = modulus.bit_length()
+    while r.bit_length() >= dp:
+        r ^= modulus << (r.bit_length() - dp)
+    return r
+
+
+def gf_trace_naive(a: int, m: int, modulus: int) -> int:
+    """Absolute trace a + a^2 + a^4 + ... + a^{2^{m-1}}, term by term."""
+    t = acc = a
+    for _ in range(m - 1):
+        acc = gf_mul_naive(acc, acc, modulus)
+        t ^= acc
+    return t
+
+
 def random_boolfn(rng: np.random.Generator, n: int) -> BooleanFunction:
     return BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
 

@@ -489,18 +489,20 @@ class TestExitContract:
 
     def test_example1_m_beyond_field(self):
         # a child process with a 1 GB address-space limit and a timeout, so
-        # forming 2^m - 1 fails (or stalls) there instead of in the test run
-        script = textwrap.dedent("""
-            import resource, sys
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-            from gbent.cli import main
-            sys.exit(main(["construct", "example1", "--m", "68719476736"]))
-        """)
-        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, timeout=60,
-                             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
-        assert_input_error(res.returncode, res.stderr)
-        assert res.stdout == ""
+        # forming 2^m - 1 or a 2^m x 2^m grid fails (or stalls) there instead
+        # of in the test run
+        for m in ("68719476736", "16"):
+            script = textwrap.dedent(f"""
+                import resource, sys
+                resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+                from gbent.cli import main
+                sys.exit(main(["construct", "example1", "--m", "{m}"]))
+            """)
+            res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                 text=True, timeout=60,
+                                 env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+            assert_input_error(res.returncode, res.stderr)
+            assert res.stdout == ""
 
     @pytest.mark.parametrize("bad", ["-1", "2", "99999999999999999999"])
     def test_spread_phi_outside_range(self, capsys, bad):

@@ -1,5 +1,7 @@
 """Tests for the construction and transform generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,45 @@ def norm_multiset(f):
     return sorted(map(tuple, gwht(f).norm_squared_all().tolist()))
 
 
+def seeded_pi(m):
+    return np.random.default_rng(m).permutation(1 << m).tolist()
+
+
+PHI_8_4 = np.random.default_rng(8).permutation(np.repeat(np.arange(16), 16)).tolist()
+BUILDERS = {
+    **{f"regular_spread({m})": lambda m=m: regular_spread(m).subspaces for m in range(1, 9)},
+    **{f"mm_bent({m})": lambda m=m: mm_bent(m, seeded_pi(m)).table for m in range(1, 9)},
+    "example1(4, 1)": lambda: example1(4, 1).values,
+    "example1(4, 7)": lambda: example1(4, 7).values,
+    "example1(8, 1)": lambda: example1(8, 1).values,
+    "spread_zqbent(8, 4)": lambda: spread_zqbent(regular_spread(8), 4, PHI_8_4).values,
+}
+# sha256 of each output's int64 bytes, as the per-point scalar loops over
+# GF(2^m) built them; pi and phi are the seeded ones above
+PINNED_OUTPUTS = {
+    "regular_spread(1)": "5c65c9aaff6a8db2d6371bb5226686e7e546c0f87cf601f1b5fccb97a236b7cf",
+    "regular_spread(2)": "88cb5b6b67ebe6f4e711fc496f370e0171cd33b1e5a51948b9724ab4239db3ec",
+    "regular_spread(3)": "59c69aaa7879100bc4e5acf71e56134dd79d7fba1643d04b0956db579dbc08a7",
+    "regular_spread(4)": "7bd99c99c16694c744425902519e2c51c1dc7e3ec53edf1b987c9fa3231f54a7",
+    "regular_spread(5)": "d0f5126d674bb5f35f1a1b26c0f2f0130cfb893ffddf43d3baadfd988fad8f5a",
+    "regular_spread(6)": "2e4e647f5c22021601f837bd80e5dfbb1997776b9ec00e74da9c186ba1550848",
+    "regular_spread(7)": "90167f55c87f137f8a7527066662696f0d2892d242a968985ca45e45aae8316d",
+    "regular_spread(8)": "0e15d2282710318d436de3d31f4840c13c8d1f9f57ddbc197e015b9115d81a17",
+    "mm_bent(1)": "013f21dd7052786e2c338b57f23ec2c7feb0c12f7b3b28fbb5affaca27103f51",
+    "mm_bent(2)": "e8993701ae39012704dbc573d131f0de02ac811a0cca8bcbd8fa76dc242ad675",
+    "mm_bent(3)": "ef9babdafe8d88d115e374d2be62ae08bfee8226558d15d2d616151df745f29c",
+    "mm_bent(4)": "3e4ab17ec55d70009738a0d7a33a51877abe26587f83b16833b80cca7540dbd7",
+    "mm_bent(5)": "35d946ebde2d329eaa7df6e6cff377bfa9aece3320b11961944775fddcd26886",
+    "mm_bent(6)": "adc7af3f1676feb9638fb1d03ef69b1229e80a668bb833b8294b0a5bb6367641",
+    "mm_bent(7)": "f250e206f0a6709907c3bdacbd07e7668c34d20b611af820346768681129e080",
+    "mm_bent(8)": "8fe1503858ff20269c003cbc2d82dc8b1e65179a1de0626ff67580c2c1095870",
+    "example1(4, 1)": "11d2215bd0707fb5260fa9500ecc2ebffaa7bcc0ebddd17607d3a44dd1e0bc65",
+    "example1(4, 7)": "2ec5df039caff1108712f1cc959f735219bcbcd603471e51b68d7c5d0ce657ae",
+    "example1(8, 1)": "95cf19a1329a1e490c2d49d71bc25ae9db1ccf4f5a04b7fc3e9805bbff9f746e",
+    "spread_zqbent(8, 4)": "3705bd03aa24f27c6e69f7ff4d81167512e1b40d9d4c35bb48ea797b74f71d38",
+}
+
+
 class TestSpread:
     def test_m1_lines(self):
         sp = regular_spread(1)
@@ -66,16 +107,34 @@ class TestSpread:
     def test_rejects_non_subspace(self):
         with pytest.raises(ValueError):
             Spread(4, tuple([(0, 1, 2, 7)] + [(0, 3, 4, 5)] * 4))
+        # points 3 and 5 swapped between two lines of regular_spread(2): the
+        # lines still partition V_4 \ {0}, but neither is closed under +
+        with pytest.raises(ValueError, match="not F_2-linear"):
+            Spread(4, ((0, 4, 8, 12), (0, 1, 2, 5), (0, 3, 10, 15),
+                       (0, 9, 14, 7), (0, 13, 6, 11)))
 
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError):
             Spread(2, ((0, 1), (0, 2)))
+
+    @pytest.mark.parametrize("outside", [4, -1])
+    def test_rejects_points_outside_vn(self, outside):
+        # the point stood in for the missing point 3 in the cover count
+        with pytest.raises(ValueError, match=r"V_2 = \[0, 4\)"):
+            Spread(2, ((0, outside), (0, 1), (0, 2)))
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             regular_spread(0)
         with pytest.raises(ValueError):
             regular_spread(9)
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("call", PINNED_OUTPUTS)
+    def test_digest(self, call):
+        out = np.asarray(BUILDERS[call](), dtype=np.int64)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_OUTPUTS[call]
 
 
 class TestSpreadZqBent:
@@ -213,6 +272,12 @@ class TestExample1:
             example1(3)
         with pytest.raises(GbentError, match=r"need 4 \| m and 5 not \| m"):
             example1(20)  # divisible by both 4 and 5
+
+    @pytest.mark.parametrize("m", [16, -4])
+    def test_m_outside_range(self, m):
+        # refused before any field work: m = 16 would need 2^32-entry grids
+        with pytest.raises(GbentError, match=r"4 <= m <= 12"):
+            example1(m)
 
     def test_zero_c(self):
         with pytest.raises(GbentError, match="nonzero field element"):

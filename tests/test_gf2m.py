@@ -1,9 +1,23 @@
 """Tests for GF(2^m) arithmetic."""
 
+import numpy as np
 import pytest
 
 from gbent.errors import DivisionByZero, GbentError
 from gbent.gf2m import Field, _is_irreducible, default_modulus, inverse_exponent
+
+from conftest import gf_mul_naive, gf_trace_naive
+
+
+def operand_grid(m: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Broadcasting operands: all pairs for m <= 6, every a against 16
+    seeded b for m = 7, 8, and 512 seeded pairs above."""
+    if m <= 6:
+        x = np.arange(1 << m)
+        return x[:, None], x
+    if m <= 8:
+        return np.arange(1 << m)[:, None], rng.integers(0, 1 << m, size=16)
+    return rng.integers(0, 1 << m, size=(2, 512))
 
 
 class TestModuli:
@@ -79,6 +93,42 @@ class TestFieldLaws:
         assert fld.pow(5, 1) == 5
         with pytest.raises(ValueError):
             fld.pow(3, -1)
+
+
+class TestElementwise:
+    """Array calls against the scalar oracles of conftest."""
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_mul(self, m, rng):
+        fld = Field(m)
+        a, b = operand_grid(m, rng)
+        got = fld.mul(a, b)
+        want = np.vectorize(lambda x, y: gf_mul_naive(int(x), int(y), fld.modulus))(a, b)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_trace(self, m, rng):
+        fld = Field(m)
+        a = np.ravel(operand_grid(m, rng)[0])
+        want = [gf_trace_naive(int(x), m, fld.modulus) for x in a]
+        assert fld.trace(a).tolist() == want
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_pow(self, m, rng):
+        fld = Field(m)
+        a = np.ravel(operand_grid(m, rng)[0])
+        want = [1] * len(a)
+        for e in range(20):
+            assert fld.pow(a, e).tolist() == want
+            want = [gf_mul_naive(w, int(x), fld.modulus) for w, x in zip(want, a)]
+
+    def test_int_inputs_give_ints(self):
+        fld = Field(8)
+        for value in (fld.mul(0x53, 0xCA), fld.trace(0x53), fld.pow(0x53, 11),
+                      fld.poly_eval(0b10011, 0x53), fld.find_root(0b10011)):
+            assert type(value) is int
+        assert fld.mul(0x53, 0xCA) == 1              # the AES field's inverse pair
+        assert fld.pow(0x53, 254) == 0xCA
 
 
 class TestTrace:

@@ -150,8 +150,10 @@ class TestSweep:
 
 
 class TestEnumeration:
-    def test_lexicographic_order(self):
-        chunks = list(exhaustive_values(1, 2, chunk=7))
+    def test_lexicographic_order(self, monkeypatch):
+        monkeypatch.setattr("gbent.sweep.CHUNK", 7)
+        chunks = list(exhaustive_values(1, 2))
+        assert [len(c) for c in chunks] == [7, 7, 2]
         V = np.concatenate(chunks)
         assert len(V) == 16
         tuples = [tuple(r) for r in V]
