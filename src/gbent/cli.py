@@ -45,19 +45,20 @@ from .errors import (
     NotBent,
     NotGbent,
 )
-from .gbf import GeneralizedBooleanFunction, gwht
-from .sweep import search_gbent
+from .gbf import GeneralizedBooleanFunction, gwht, values_text
+from .sweep import chunk_rows, search_gbent
 
 
 def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str, path: str | None) -> int:
     if path:
         Path(path).write_text(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _read_gbf(path: str) -> GeneralizedBooleanFunction:
@@ -65,18 +66,12 @@ def _read_gbf(path: str) -> GeneralizedBooleanFunction:
 
 
 def _read_boolfn(path: str, as_hex: bool = False) -> BooleanFunction:
-    if as_hex:
-        return BooleanFunction.from_hex(_read(path))
-    return BooleanFunction.from_text(_read(path))
+    return (BooleanFunction.from_hex if as_hex else BooleanFunction.from_text)(_read(path))
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    rows = []
-    for ln in _read(path).splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        rows.append([int(t) for t in ln.split()])
+    lines = [ln.strip() for ln in _read(path).splitlines()]
+    rows = [[int(t) for t in ln.split()] for ln in lines if ln and not ln.startswith("#")]
     if not rows or len(set(map(len, rows))) != 1:
         raise FormatError(f"{path}: matrix rows missing or of unequal length")
     try:
@@ -173,13 +168,11 @@ def _cmd_space(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    _emit(dual_gbent(_read_gbf(args.file)).to_text(), args.output)
-    return 0
+    return _emit(dual_gbent(_read_gbf(args.file)).to_text(), args.output)
 
 
 def _cmd_gray(args) -> int:
-    _emit(gray_map(_read_gbf(args.file)).to_text(), args.output)
-    return 0
+    return _emit(gray_map(_read_gbf(args.file)).to_text(), args.output)
 
 
 def _cmd_zq(args) -> int:
@@ -205,36 +198,27 @@ def _cmd_rds(args) -> int:
 
 
 def _cmd_construct_example1(args) -> int:
-    _emit(example1(args.m, args.c).to_text(), args.output)
-    return 0
+    return _emit(example1(args.m, args.c).to_text(), args.output)
 
 
 def _cmd_construct_spread(args) -> int:
-    if args.phi is None:
-        phi = [s & ((1 << args.k) - 1) for s in range(1 << args.m)]
-    else:
-        phi = _ints(args.phi)
-    f = spread_zqbent(regular_spread(args.m), args.k, phi)
-    _emit(f.to_text(), args.output)
-    return 0
+    phi = (_ints(args.phi) if args.phi is not None
+           else [s & ((1 << args.k) - 1) for s in range(1 << args.m)])
+    return _emit(spread_zqbent(regular_spread(args.m), args.k, phi).to_text(), args.output)
 
 
 def _cmd_construct_mm(args) -> int:
     pi = _ints(args.pi) if args.pi else list(range(1 << args.m))
-    _emit(mm_bent(args.m, pi).to_text(), args.output)
-    return 0
+    return _emit(mm_bent(args.m, pi).to_text(), args.output)
 
 
 def _cmd_construct_mesnager(args) -> int:
     g0, g1, g2 = (_read_boolfn(p) for p in (args.g0, args.g1, args.g2))
-    _emit(mesnager_secondary(g0, g1, g2).to_text(), args.output)
-    return 0
+    return _emit(mesnager_secondary(g0, g1, g2).to_text(), args.output)
 
 
 def _matrix_comment(name: str, M: np.ndarray) -> str:
-    lines = [f"# {name}"]
-    lines.extend("# " + " ".join(str(int(b)) for b in row) for row in M)
-    return "\n".join(lines)
+    return "\n".join([f"# {name}"] + ["# " + " ".join(map(str, row)) for row in M.tolist()])
 
 
 def _cmd_transform(args) -> int:
@@ -257,24 +241,20 @@ def _cmd_transform(args) -> int:
         else:
             raise FormatError("transform needs --B for k >= 2")
         t = LinearTransform(A, B, args.b)
-    _emit(apply_equivalence(f, t).to_text(), args.output)
-    return 0
+    return _emit(apply_equivalence(f, t).to_text(), args.output)
 
 
 def _cmd_lift(args) -> int:
-    _emit(lift(_read_gbf(args.file), args.r).to_text(), args.output)
-    return 0
+    return _emit(lift(_read_gbf(args.file), args.r).to_text(), args.output)
 
 
 def _cmd_search(args) -> int:
-    if args.random is not None:
-        rng = np.random.default_rng(args.seed)
-        found, total = search_gbent(args.n, args.k, count=args.random, rng=rng)
-    else:
-        found, total = search_gbent(args.n, args.k)
-    for f in found:
-        sys.stdout.write(f.to_text())
-    print(f"{len(found)}/{total}")
+    rng = None if args.random is None else np.random.default_rng(args.seed)
+    hits, total = search_gbent(args.n, args.k, count=args.random, rng=rng)
+    rows = chunk_rows(args.n)
+    for start in range(0, len(hits), rows):
+        sys.stdout.write(values_text(args.n, args.k, hits[start:start + rows]))
+    print(f"{len(hits)}/{total}")
     return 0
 
 

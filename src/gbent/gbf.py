@@ -115,8 +115,7 @@ class GeneralizedBooleanFunction:
     # -- text form -----------------------------------------------------------
 
     def to_text(self) -> str:
-        names = [str(v) for v in range(1 << self.k)]
-        return f"{self.n} {self.k}\n{' '.join(map(names.__getitem__, self.values.tolist()))}\n"
+        return values_text(self.n, self.k, self.values[None])
 
     @classmethod
     def from_text(cls, text: str) -> "GeneralizedBooleanFunction":
@@ -151,6 +150,13 @@ class GeneralizedBooleanFunction:
         if vals.min() < 0 or vals.max() >= (1 << k):
             raise FormatError(f"values must lie in [0, {1 << k})")
         return cls(n, k, vals)
+
+
+def values_text(n: int, k: int, V: np.ndarray) -> str:
+    """The "n k" line and the values line of each row of an (H, 2^n) matrix."""
+    names = [str(v) for v in range(1 << k)]
+    return "".join([f"{n} {k}\n{' '.join(map(names.__getitem__, row))}\n"
+                    for row in V.tolist()])
 
 
 def coordinates(f: GeneralizedBooleanFunction) -> list[BooleanFunction]:

@@ -32,12 +32,13 @@ routes; any discrepancy is collected rather than raised, so callers can
 report it.
 
 Enumeration helpers provide exhaustive (lexicographic truth-table order)
-and random function families in chunks, and search_gbent drives them for
-the command-line search.
+and random function families in chunks; search_gbent drives them and
+returns the re-verified hits of the command-line search as one matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -46,7 +47,7 @@ import numpy as np
 from .boolfn import MAX_N
 from .cyclotomic import norm_squared_coeffs
 from .errors import GbentError, InternalInconsistency
-from .gbf import MAX_K, GeneralizedBooleanFunction, component_walsh, flat_mask, gwht_coeffs
+from .gbf import MAX_K, component_walsh, flat_mask, gwht_coeffs
 from .hadamard import match_rows, products_hold
 
 SEARCH_BITS_CAP = 24
@@ -211,49 +212,59 @@ def random_values(rng: np.random.Generator, n: int, k: int,
 
 def sweep_exhaustive(n: int, k: int) -> SweepResult:
     """Three-route sweep over all of GB_n^{2^k}, accumulated chunkwise."""
-    total = gbent = 0
-    verdicts = []
-    mismatches: list[int] = []
-    for V in exhaustive_values(n, k):
-        res = sweep_three_routes(n, k, V)
-        mismatches.extend(i + total for i in res.mismatches)
-        total += res.total
-        gbent += res.gbent_count
-        verdicts.append(res.verdicts)
-    return SweepResult(n, k, total, gbent, np.concatenate(verdicts),
-                       tuple(mismatches))
+    parts = [sweep_three_routes(n, k, V) for V in exhaustive_values(n, k)]
+    verdicts = np.concatenate([res.verdicts for res in parts])
+    starts = itertools.accumulate((res.total for res in parts), initial=0)
+    mismatches = tuple(s + i for res, s in zip(parts, starts) for i in res.mismatches)
+    return SweepResult(n, k, len(verdicts), int(verdicts.sum()), verdicts, mismatches)
+
+
+def chunk_rows(n: int) -> int:
+    """Functions per search block: CHUNK, or 16 CHUNK values where 2^n > 16."""
+    return max(1, min(CHUNK, (CHUNK << 4) >> n))
+
+
+def _verified(n: int, k: int, hits: np.ndarray) -> np.ndarray:
+    """hits, if three-route sweeps of chunk_rows(n) rows at a time find all gbent."""
+    rows = chunk_rows(n)
+    for start in range(0, len(hits), rows):
+        check = sweep_three_routes(n, k, hits[start:start + rows])
+        if check.mismatches or check.gbent_count != check.total:
+            raise InternalInconsistency(
+                f"{check.total} search hits in GB_{n}^{1 << k}: routes disagree on "
+                f"{len(check.mismatches)}, {check.total - check.gbent_count} not gbent")
+    return hits
 
 
 def search_gbent(n: int, k: int, count: int | None = None,
-                 rng: np.random.Generator | None = None,
-                 ) -> tuple[list[GeneralizedBooleanFunction], int]:
+                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, int]:
     """Gbent functions from exhaustive (count=None) or random enumeration.
 
-    Both modes run CHUNK functions at a time; random chunks consume rng as
-    one draw of all count functions would.  The hits of each chunk are
-    re-verified by one three-route sweep before being returned; a route
+    Both modes scan chunk_rows(n) functions at a time; random chunks consume
+    rng as one draw of all count functions would.  Once chunk_rows(n) hits
+    are pending, and at the end, three-route sweeps re-verify them; a route
     disagreement or a hit that fails there raises InternalInconsistency.
-    Returns (found functions, total functions examined).
+    Returns (hits, total): the (H, 2^n) int64 value matrix of the found
+    functions in enumeration or draw order, and the number examined.
     """
     _check_space(n, k)
-    found: list[GeneralizedBooleanFunction] = []
-    total = 0
+    rows = chunk_rows(n)
     if count is None:
         chunks = exhaustive_values(n, k)
     else:
         if not 0 <= count < 1 << 63:
             raise GbentError(f"count must be an integer in [0, 2^63), got {count}")
-        if rng is None:
-            rng = np.random.default_rng()
-        chunks = (random_values(rng, n, k, min(CHUNK, count - start))
-                  for start in range(0, count, CHUNK))
+        rng = np.random.default_rng() if rng is None else rng
+        chunks = (random_values(rng, n, k, min(rows, count - start))
+                  for start in range(0, count, rows))
+    found, pending = [], np.empty((0, 1 << n), dtype=np.int64)
+    total = 0
     for V in chunks:
-        hits = V[batch_direct_flat(n, k, np.ascontiguousarray(V.T)).all(axis=0)]
-        check = sweep_three_routes(n, k, hits)
-        if check.mismatches or check.gbent_count != check.total:
-            raise InternalInconsistency(
-                f"{check.total} search hits in GB_{n}^{1 << k}: routes disagree on "
-                f"{len(check.mismatches)}, {check.total - check.gbent_count} not gbent")
+        pending = np.concatenate([pending, V[batch_direct_flat(
+            n, k, np.ascontiguousarray(V.T)).all(axis=0)]])
         total += len(V)
-        found.extend(GeneralizedBooleanFunction(n, k, v) for v in hits)
-    return found, total
+        if len(pending) >= rows:
+            found.append(_verified(n, k, pending))
+            pending = pending[:0]
+    found.append(_verified(n, k, pending))
+    return np.concatenate(found), total

@@ -400,7 +400,7 @@ class TestBentSpace:
         fams += [lift(f, r) for f in (SEED22, SEED32, SEED43) for r in (4, 5)]
         for n, k in ((2, 3), (3, 2), (3, 3), (4, 2)):
             hits, _ = search_gbent(n, k, count=20_000, rng=rng)
-            fams += hits[:6]
+            fams += [GeneralizedBooleanFunction(n, k, values) for values in hits[:6]]
         fams += [random_gbf(rng, n, k) for n in (1, 2, 3, 4) for k in (2, 3, 4)
                  for _ in range(4)]
         for f in fams:

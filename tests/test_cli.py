@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, round trips."""
 
+import hashlib
 import io
 import json
 import os
@@ -30,6 +31,18 @@ from gbent.gbf import GeneralizedBooleanFunction, gwht
 SEED22 = "2 2\n0 1 0 3\n"
 SEED32 = "3 2\n0 0 0 2 1 1 1 3\n"
 ZERO22 = "2 2\n0 0 0 0\n"
+
+
+# sha256 of the stdout of `gbent search ARGV`, as it was when each hit was
+# printed through its own function object
+PINNED_SEARCH = {
+    "2 4": "a08654d5303cd9819b8f3403e6f4a8f09b2a5236722bcd9c339d98846e5f5326",
+    "3 2": "71f1da1caff9dc79b5118ffa141b501114ef06e7e4a0be3cbeea9dede34b548e",
+    "4 1": "d0b0ed1f35552b7b9ebe77ba71c31ec81d98996e215a517e0e4a52be60889a1b",
+    "3 3 --random 20000 --seed 5":
+        "214b893506419f1402192dcbc904cddbc8b3d40b34b524f81efad177e8d36a53",
+    "2 2 --random 0": "6ba3a1d4f49331639f09fd4c145f8924aff43b27efc57a7b68a27b2b881de6d6",
+}
 
 
 @pytest.fixture
@@ -388,6 +401,46 @@ class TestSearch:
         code, _, err = run(capsys, "search", "4", "2")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", sorted(PINNED_SEARCH))
+    def test_pinned_output(self, capsys, argv):
+        code, out, err = run(capsys, "search", *argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SEARCH[argv]
+
+    @pytest.mark.parametrize("argv,good_sweeps", [
+        (("2", "2"), 0),
+        (("2", "2", "--random", "20000", "--seed", "1"), 1),
+    ])
+    def test_failed_reverification_prints_no_hit(self, capsys, monkeypatch, argv, good_sweeps):
+        # the spectral route rejects every function after the first good_sweeps
+        # sweeps, so with good_sweeps = 1 the first block of hits has passed
+        spectral_pass = gbent.sweep.batch_spectral_pass
+        calls = []
+
+        def broken(n, k, W, halves):
+            calls.append(W.shape[-1])
+            r, sign, mask = spectral_pass(n, k, W, halves)
+            return r, sign, mask & (len(calls) <= good_sweeps)
+
+        monkeypatch.setattr(gbent.sweep, "batch_spectral_pass", broken)
+        code, out, err = run(capsys, "search", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal disagreement: ")
+        assert len(calls) == good_sweeps + 1 and max(calls) <= gbent.sweep.CHUNK
+
+    def test_random_search_within_memory_limit(self):
+        # drawn in one block, the 2049 x 2^16 int64 table would need 1.07 GB
+        script = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from gbent.cli import main
+            sys.exit(main(["search", "16", "1", "--random", "2049", "--seed", "1"]))
+        """)
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=120,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert (res.returncode, res.stdout, res.stderr) == (0, "0/2049\n", "")
 
 
 def assert_input_error(code, err):

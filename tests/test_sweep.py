@@ -16,6 +16,7 @@ from gbent.sweep import (
     batch_component_walsh,
     batch_direct_flat,
     batch_quadruple_verdict,
+    chunk_rows,
     exhaustive_values,
     random_values,
     search_gbent,
@@ -76,7 +77,7 @@ class TestBatchKernels:
         # a 1-D value table has the batch layout without the function axis
         V = random_values(rng, n, k, 40)
         hits, _ = search_gbent(n, k, count=4000, rng=rng)
-        V = np.vstack([V] + [f.values for f in hits[:8]])
+        V = np.vstack([V, hits[:8]])
 
         def kernels(values):
             W, _, (r, sign, spectral), quadruple = walsh_routes(n, k, values)
@@ -175,15 +176,15 @@ class TestSearch:
     def test_exhaustive_search(self):
         found, total = search_gbent(2, 2)
         assert total == 256
-        assert len(found) == 64
-        tables = [tuple(f.values) for f in found]
+        assert found.shape == (64, 4) and found.dtype == np.int64
+        tables = [tuple(row) for row in found.tolist()]
         assert tables == sorted(tables)
 
     def test_random_search_verified(self, rng):
         found, total = search_gbent(2, 2, count=300, rng=rng)
         assert total == 300
-        for f in found:
-            assert is_gbent(f)
+        for values in found:
+            assert is_gbent(GeneralizedBooleanFunction(2, 2, values))
 
     def test_random_search_streams_chunks(self, monkeypatch):
         # CHUNK functions per kernel call, and the seeded hits of one block
@@ -199,5 +200,46 @@ class TestSearch:
         V = random_values(np.random.default_rng(17), 2, 2, count)
         want = V[batch_direct_flat(2, 2, np.ascontiguousarray(V.T)).all(axis=0)]
         assert total == count and len(found) == len(want) > 0
-        assert np.array_equal([f.values for f in found], want)
+        assert np.array_equal(found, want)
         assert max(sizes) == CHUNK == 4096 and sizes.count(CHUNK) >= 2
+
+    def test_random_chunk_bounded_by_entries(self, monkeypatch):
+        # at n = 12 a block of 16 functions holds 16 CHUNK values; the blocks
+        # are the one-block draw, cut in order
+        blocks = []
+
+        def recorded(n, k, V):
+            blocks.append(V.T.copy())
+            return batch_direct_flat(n, k, V)
+
+        monkeypatch.setattr("gbent.sweep.batch_direct_flat", recorded)
+        count = 3 * 16 + 5
+        found, total = search_gbent(12, 2, count=count, rng=np.random.default_rng(4))
+        V = random_values(np.random.default_rng(4), 12, 2, count)
+        want = V[batch_direct_flat(12, 2, np.ascontiguousarray(V.T)).all(axis=0)]
+        assert chunk_rows(12) == 16 and chunk_rows(4) == chunk_rows(1) == CHUNK
+        assert [len(b) for b in blocks] == [16, 16, 16, 5]
+        assert np.array_equal(np.concatenate(blocks), V)
+        assert total == count and np.array_equal(found, want)
+        assert found.shape == (len(want), 1 << 12) and found.dtype == np.int64
+
+    def test_hits_verified_as_they_pile_up(self, monkeypatch):
+        # each three-route sweep sees at most CHUNK hits, the first one long
+        # before the last draw, and together they see every hit once, in order
+        draws, sweeps = [], []
+
+        def drawn(*args):
+            draws.append(random_values(*args))
+            return draws[-1]
+
+        def swept(n, k, V):
+            sweeps.append((len(draws), V.copy()))
+            return sweep_three_routes(n, k, V)
+
+        monkeypatch.setattr("gbent.sweep.random_values", drawn)
+        monkeypatch.setattr("gbent.sweep.sweep_three_routes", swept)
+        found, total = search_gbent(2, 2, count=12 * CHUNK, rng=np.random.default_rng(8))
+        assert total == 12 * CHUNK and len(draws) == 12
+        assert max(len(V) for _, V in sweeps) == CHUNK < len(found)
+        assert sweeps[0][0] < len(draws) // 2
+        assert np.array_equal(np.concatenate([V for _, V in sweeps]), found)
