@@ -186,7 +186,8 @@ def example1(m: int, c: int = 1) -> GeneralizedBooleanFunction:
     d = inverse_exponent(11, m)
     b = fld.find_root(0b10011)
     mults = (fld.mul(c, 1 ^ b), fld.mul(c, 1 ^ fld.inv(b)), c)
-    x = np.arange(fld.order)
+    # every operand and partial product of Field.mul is below 2^{2m-1} <= 2^23
+    x = np.arange(fld.order, dtype=np.uint32)
     t = fld.mul(fld.pow(x, d)[:, None], x)          # y^d x at row y, column x
     values = sum(fld.trace(fld.mul(cj, t)) << j for j, cj in enumerate(mults))
     f = GeneralizedBooleanFunction(2 * m, 3, values.ravel())

@@ -7,8 +7,10 @@ irreducible polynomial of degree m, which gives the classical choices
 x^4 + x + 1 for m = 4 and x^8 + x^4 + x^3 + x + 1 for m = 8.
 Irreducibility is verified at construction by trial division.
 
-Every operation but inv is elementwise over broadcasting int64 arrays, and
-returns an int for int inputs, so a formula is evaluated once over a grid.
+Every operation but inv is elementwise over broadcasting integer arrays,
+and returns an int for int inputs, so a formula is evaluated once over a
+grid.  An unsigned 32-bit grid serves every m <= 16: the operands and
+partial products of mul stay below 2^{2m-1}.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class Field:
     """GF(2^m) in polynomial-basis representation.
 
     modulus = 0 selects the default irreducible for the degree.  Elements
-    are int bitmasks, or int64 arrays of them for the elementwise
+    are int bitmasks, or integer arrays of them for the elementwise
     operations.
     """
 

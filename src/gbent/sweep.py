@@ -34,11 +34,20 @@ report it.
 Enumeration helpers provide exhaustive (lexicographic truth-table order)
 and random function families in chunks; search_gbent drives them and
 returns the re-verified hits of the command-line search as one matrix.
+
+The exhaustive jobs, sweep_exhaustive and search_gbent without a count,
+build no value tables per chunk.  In lexicographic order the functions of
+a chunk share their values on the leading points, and both transforms are
+sums of one term per point, so _split_spectra forms each chunk's
+coefficient and Walsh tensors as per-space suffix tables plus a per-chunk
+prefix term, one addition each.  The routes stay independent: the
+coefficients come from zeta-powers and the Walsh values from component
+signs, each through its own kernel.  Search decodes only its hits into
+rows, and sweep_three_routes re-verifies each of them from its values.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -131,11 +140,18 @@ def batch_quadruple_verdict(magnitudes: np.ndarray, relations: np.ndarray) -> np
 def walsh_routes(n: int, k: int, V: np.ndarray) -> tuple:
     """(W, halves, spectral, quadruple): the one pass both Walsh routes read.
 
-    W = batch_component_walsh(n, k, V), halves = split_halves(W) for odd n
-    (else None), the triple spectral = batch_spectral_pass(n, k, W, halves),
-    and quadruple = quadruple_masks(n, W, halves) for k >= 2 (else None).
+    W = batch_component_walsh(n, k, V) and the rest is _walsh_tests(n, k, W).
     """
-    W = batch_component_walsh(n, k, V)
+    return _walsh_tests(n, k, batch_component_walsh(n, k, V))
+
+
+def _walsh_tests(n: int, k: int, W: np.ndarray) -> tuple:
+    """(W, halves, spectral, quadruple) of a component Walsh tensor W.
+
+    halves = split_halves(W) for odd n (else None), the triple spectral =
+    batch_spectral_pass(n, k, W, halves), and quadruple = quadruple_masks(n,
+    W, halves) for k >= 2 (else None).
+    """
     halves = split_halves(W) if n % 2 else None
     spectral = batch_spectral_pass(n, k, W, halves)
     quadruple = quadruple_masks(n, W, halves) if k >= 2 else None
@@ -167,14 +183,23 @@ def sweep_three_routes(n: int, k: int, V: np.ndarray) -> SweepResult:
     differs (the quadruple route participates for k >= 2).
     """
     V = np.ascontiguousarray(np.asarray(V, dtype=np.int64).T)
-    direct = batch_direct_flat(n, k, V)
-    _, _, (_, _, spectral), quadruple = walsh_routes(n, k, V)
+    verdicts, bad = _compared(batch_direct_flat(n, k, V), walsh_routes(n, k, V))
+    return SweepResult(n, k, V.shape[1], int(verdicts.sum()), verdicts,
+                       tuple(np.flatnonzero(bad).tolist()))
+
+
+def _compared(direct: np.ndarray, walsh: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(verdicts, bad), each (F,), from the direct mask and a walsh_routes pass.
+
+    bad holds where the direct and spectral per-u masks differ anywhere, or
+    where the quadruple verdict (k >= 2) differs from the direct one.
+    """
+    _, _, (_, _, spectral), quadruple = walsh
     bad = (direct != spectral).any(axis=0)
     verdicts = direct.all(axis=0)
     if quadruple is not None:
         bad |= verdicts != batch_quadruple_verdict(*quadruple)
-    return SweepResult(n, k, V.shape[1], int(verdicts.sum()), verdicts,
-                       tuple(np.flatnonzero(bad).tolist()))
+    return verdicts, bad
 
 
 def _check_space(n: int, k: int) -> None:
@@ -185,6 +210,16 @@ def _check_space(n: int, k: int) -> None:
         raise GbentError(f"k must be an integer in [1, {MAX_K}], got {k}")
 
 
+def _lex_rows(points: int, k: int, idx: np.ndarray) -> np.ndarray:
+    """Value tables of the functions idx in lexicographic order: (len(idx), points).
+
+    Function i has the base-2^k digits of i as its values, the most
+    significant at point 0.
+    """
+    shifts = k * np.arange(points - 1, -1, -1, dtype=np.int64)
+    return (idx[:, None] >> shifts) & ((1 << k) - 1)
+
+
 def exhaustive_values(n: int, k: int) -> Iterator[np.ndarray]:
     """All of GB_n^{2^k} as value matrices, lexicographic truth-table order.
 
@@ -192,17 +227,61 @@ def exhaustive_values(n: int, k: int) -> Iterator[np.ndarray]:
     ordered as tuples (f(0), f(1), ...).
     """
     _check_space(n, k)
-    N = 1 << n
-    bits = k * N
+    bits = k << n
     if bits > SEARCH_BITS_CAP:
         raise GbentError(
             f"|GB_{n}^{1 << k}| = 2^{bits} exceeds the enumeration cap 2^{SEARCH_BITS_CAP}")
     total = 1 << bits
-    mask = (1 << k) - 1
-    shifts = np.array([k * (N - 1 - x) for x in range(N)], dtype=np.int64)
     for start in range(0, total, CHUNK):
-        idx = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        yield (idx[:, None] >> shifts) & mask
+        yield _lex_rows(1 << n, k, np.arange(start, min(start + CHUNK, total), dtype=np.int64))
+
+
+def _split_spectra(n: int, k: int, kernels: tuple) -> Iterator[list[np.ndarray]]:
+    """Each kernel's output on each exhaustive_values chunk, formed by addition.
+
+    kernels are gwht_coeffs and/or component_walsh; each is a sum over the
+    points of one term per point value, so it is linear in the points.  The
+    last s = min(2^n, log2(CHUNK) // k) points are the suffix, the largest
+    one whose 2^{sk} tables fit in a chunk, and the others the prefix.
+    Once per space, T = kernel(the 2^{sk} suffix tables, prefix 0).  A chunk
+    is P = CHUNK / 2^{sk} consecutive prefixes times all suffixes, so it
+    holds the functions of the matching exhaustive_values chunk, in order,
+    and its output is T[:, :, None, :] + D[:, :, :, None] with
+    D = kernel(the P prefix tables, suffix 0) - kernel(the zero table).
+    D is taken for up to CHUNK prefixes in one kernel call.  A space of one
+    chunk has no prefix: its output is T, the kernels of its one chunk.
+
+    Dtype: T and T + D are spectra of functions, at most 2^n in magnitude,
+    and D changes at most the 2^n - s prefix terms, by at most 2 each, so
+    |D| <= 2 (2^n - s).  The enumeration cap k 2^n <= 24 gives n <= 4, so
+    all three fit int8 = spectrum_dtype(n), and the sums are formed there.
+    Past one chunk, the yielded arrays, of shape (2^n, 2^{k-1}, CHUNK), are
+    buffers reused from chunk to chunk.
+    """
+    _check_space(n, k)
+    N = 1 << n
+    s = min(N, (CHUNK.bit_length() - 1) // k)
+    if s == N:              # one chunk, all of it suffix
+        for V in exhaustive_values(n, k):
+            yield [kernel(np.ascontiguousarray(V.T), k) for kernel in kernels]
+        return
+    # the first 2^{sk} functions in lexicographic order are the suffix tables
+    suffix = np.ascontiguousarray(next(exhaustive_values(n, k))[:1 << (s * k)].T)
+    tables = [kernel(suffix, k) for kernel in kernels]
+    zero = [kernel(np.zeros((N, 1), dtype=np.int64), k) for kernel in kernels]
+    P = CHUNK >> (s * k)
+    sums = [np.empty(T.shape[:2] + (P, T.shape[2]), dtype=T.dtype) for T in tables]
+    chunks = [buf.reshape(buf.shape[:2] + (CHUNK,)) for buf in sums]
+    prefixes = 1 << (k * (N - s))
+    for block in range(0, prefixes, CHUNK):
+        prefix = np.zeros((N, min(CHUNK, prefixes - block)), dtype=np.int64)
+        prefix[:N - s] = _lex_rows(N - s, k, np.arange(
+            block, block + prefix.shape[1], dtype=np.int64)).T
+        D = [kernel(prefix, k) - Z for kernel, Z in zip(kernels, zero)]
+        for p in range(0, prefix.shape[1], P):
+            for T, Dk, buf in zip(tables, D, sums):
+                np.add(T[:, :, None, :], Dk[:, :, p:p + P, None], out=buf)
+            yield chunks
 
 
 def random_values(rng: np.random.Generator, n: int, k: int,
@@ -211,12 +290,21 @@ def random_values(rng: np.random.Generator, n: int, k: int,
 
 
 def sweep_exhaustive(n: int, k: int) -> SweepResult:
-    """Three-route sweep over all of GB_n^{2^k}, accumulated chunkwise."""
-    parts = [sweep_three_routes(n, k, V) for V in exhaustive_values(n, k)]
-    verdicts = np.concatenate([res.verdicts for res in parts])
-    starts = itertools.accumulate((res.total for res in parts), initial=0)
-    mismatches = tuple(s + i for res, s in zip(parts, starts) for i in res.mismatches)
-    return SweepResult(n, k, len(verdicts), int(verdicts.sum()), verdicts, mismatches)
+    """Three-route sweep over all of GB_n^{2^k}, chunk by chunk.
+
+    Each chunk's coefficient and component Walsh tensors come from
+    _split_spectra, one addition of per-space suffix tables and per-chunk
+    prefix terms, and go through the tests and the route comparison of
+    sweep_three_routes.
+    """
+    parts, mismatches, start = [], [], 0
+    for C, W in _split_spectra(n, k, (gwht_coeffs, component_walsh)):
+        verdicts, bad = _compared(flat_mask(n, norm_squared_coeffs(C)), _walsh_tests(n, k, W))
+        parts.append(verdicts)
+        mismatches += (start + np.flatnonzero(bad)).tolist()
+        start += len(verdicts)
+    verdicts = np.concatenate(parts)
+    return SweepResult(n, k, start, int(verdicts.sum()), verdicts, tuple(mismatches))
 
 
 def chunk_rows(n: int) -> int:
@@ -236,34 +324,50 @@ def _verified(n: int, k: int, hits: np.ndarray) -> np.ndarray:
     return hits
 
 
+def _exhaustive_hits(n: int, k: int) -> Iterator[tuple[np.ndarray, int]]:
+    """(hit rows, functions examined) per chunk of GB_n^{2^k}, in enumeration order."""
+    start = 0
+    for C, in _split_spectra(n, k, (gwht_coeffs,)):
+        hit = np.flatnonzero(flat_mask(n, norm_squared_coeffs(C)).all(axis=0))
+        yield _lex_rows(1 << n, k, start + hit), C.shape[-1]
+        start += C.shape[-1]
+
+
+def _random_hits(n: int, k: int, count: int,
+                 rng: np.random.Generator) -> Iterator[tuple[np.ndarray, int]]:
+    """(hit rows, functions examined) per block of count random draws."""
+    rows = chunk_rows(n)
+    for start in range(0, count, rows):
+        V = random_values(rng, n, k, min(rows, count - start))
+        yield V[batch_direct_flat(n, k, np.ascontiguousarray(V.T)).all(axis=0)], len(V)
+
+
 def search_gbent(n: int, k: int, count: int | None = None,
                  rng: np.random.Generator | None = None) -> tuple[np.ndarray, int]:
     """Gbent functions from exhaustive (count=None) or random enumeration.
 
-    Both modes scan chunk_rows(n) functions at a time; random chunks consume
-    rng as one draw of all count functions would.  Once chunk_rows(n) hits
-    are pending, and at the end, three-route sweeps re-verify them; a route
+    The exhaustive mode decides each chunk of _split_spectra by the direct
+    route and decodes only its hits into rows; the random mode scans
+    chunk_rows(n) functions at a time, and its chunks consume rng as one
+    draw of all count functions would.  Once chunk_rows(n) hits are
+    pending, and at the end, three-route sweeps re-verify them; a route
     disagreement or a hit that fails there raises InternalInconsistency.
     Returns (hits, total): the (H, 2^n) int64 value matrix of the found
     functions in enumeration or draw order, and the number examined.
     """
     _check_space(n, k)
-    rows = chunk_rows(n)
     if count is None:
-        chunks = exhaustive_values(n, k)
+        chunks = _exhaustive_hits(n, k)
     else:
         if not 0 <= count < 1 << 63:
             raise GbentError(f"count must be an integer in [0, 2^63), got {count}")
-        rng = np.random.default_rng() if rng is None else rng
-        chunks = (random_values(rng, n, k, min(rows, count - start))
-                  for start in range(0, count, rows))
+        chunks = _random_hits(n, k, count, np.random.default_rng() if rng is None else rng)
     found, pending = [], np.empty((0, 1 << n), dtype=np.int64)
     total = 0
-    for V in chunks:
-        pending = np.concatenate([pending, V[batch_direct_flat(
-            n, k, np.ascontiguousarray(V.T)).all(axis=0)]])
-        total += len(V)
-        if len(pending) >= rows:
+    for hits, examined in chunks:
+        pending = np.concatenate([pending, hits])
+        total += examined
+        if len(pending) >= chunk_rows(n):
             found.append(_verified(n, k, pending))
             pending = pending[:0]
     found.append(_verified(n, k, pending))

@@ -684,7 +684,7 @@ class TestFuzzedFiles:
     @settings(max_examples=60, deadline=None)
     @given(text=value_texts())
     def test_token_texts(self, text):
-        run_file_commands(text.encode())
+        run_file_commands(text.encode("utf-8", "surrogatepass"))
 
     @settings(max_examples=300, deadline=None)
     @given(text=value_texts())
@@ -707,6 +707,78 @@ class TestFuzzedFiles:
     def test_non_integer_outranks_overflow(self, tokens, message):
         with pytest.raises(FormatError, match=re.escape(message)):
             GeneralizedBooleanFunction.from_text(f"1 2\n{' '.join(tokens)}\n")
+
+
+@st.composite
+def bit_texts(draw):
+    """A truth-table file: header "n", then 2^n bits (sometimes one more or less)."""
+    n = draw(st.integers(1, 3))
+    header = draw(st.one_of(st.just(str(n)), TEXT_TOKENS))
+    count = (1 << n) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    bits = draw(st.text(st.sampled_from("0101010101\n 2x\u0661"), min_size=count,
+                        max_size=count))
+    return f"{header}\n{bits}\n"
+
+
+HEX_TEXTS = st.text(st.sampled_from("0123456789abcdefABCDEF \ngx-\u0661\uff11"), max_size=40)
+
+# fixed, valid matrices, so that only the value file varies
+A_SWAP, B_ONE = "0 1\n1 0\n", "1\n"
+
+
+def run_readers(data: bytes, *commands: tuple[str, ...]) -> None:
+    """Each command, with FILE holding data, exits 0, 1 or 2 without a traceback."""
+    with tempfile.TemporaryDirectory() as d:
+        p, a, b = Path(d) / "f.txt", Path(d) / "A.mat", Path(d) / "B.mat"
+        p.write_bytes(data)
+        a.write_text(A_SWAP)
+        b.write_text(B_ONE)
+        for cmd in commands:
+            argv = [str({"FILE": p, "A": a, "B": b}.get(t, t)) for t in cmd]
+            code, err = run_quiet(*argv)
+            assert code in (0, 1, 2), (cmd, code)
+            assert "Traceback" not in err
+
+
+WHT = (("wht", "FILE"), ("wht", "FILE", "--hex"))
+TRANSFORM = (("transform", "FILE", "--A", "A", "--B", "B"),)
+
+
+class TestFuzzedReaders:
+    """The truth-table, hex and transform value-file readers under fuzzed input."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.binary(max_size=80))
+    def test_wht_bytes(self, data):
+        run_readers(data, *WHT)
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=bit_texts())
+    def test_wht_token_texts(self, text):
+        run_readers(text.encode("utf-8", "surrogatepass"), *WHT)
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=HEX_TEXTS)
+    def test_wht_hex_texts(self, text):
+        run_readers(text.encode("utf-8", "surrogatepass"), *WHT)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.binary(max_size=80))
+    def test_transform_value_bytes(self, data):
+        run_readers(data, *TRANSFORM)
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=value_texts())
+    def test_transform_value_texts(self, text):
+        run_readers(text.encode("utf-8", "surrogatepass"), *TRANSFORM)
+
+    def test_fixed_matrices_transform_a_valid_file(self, capsys, tmp_path, gbf22):
+        # the fixed matrices are valid: a well-formed value file goes through
+        (tmp_path / "A.mat").write_text(A_SWAP)
+        (tmp_path / "B.mat").write_text(B_ONE)
+        code, out, _ = run(capsys, "transform", gbf22, "--A", str(tmp_path / "A.mat"),
+                           "--B", str(tmp_path / "B.mat"))
+        assert code == 0 and is_gbent(GeneralizedBooleanFunction.from_text(out))
 
 
 class TestEntryPoint:

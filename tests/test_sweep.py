@@ -6,13 +6,15 @@ import itertools
 import numpy as np
 import pytest
 
+import gbent.sweep
 from gbent.analysis import is_gbent
 from gbent.boolfn import BooleanFunction
 from gbent.cyclotomic import CyclotomicInt, norm_squared
 from gbent.errors import GbentError
-from gbent.gbf import GeneralizedBooleanFunction
+from gbent.gbf import GeneralizedBooleanFunction, component_walsh, gwht_coeffs
 from gbent.sweep import (
     CHUNK,
+    _split_spectra,
     batch_component_walsh,
     batch_direct_flat,
     batch_quadruple_verdict,
@@ -148,6 +150,115 @@ class TestSweep:
                hashlib.sha256(verdicts.tobytes()).hexdigest())
         assert verdicts.dtype == bool
         assert got == PINNED_SWEEPS[name]
+
+
+# every space with k 2^n <= 16
+SMALL_SPACES = [(n, k) for n in range(1, 5) for k in range(1, 13) if k << n <= 16]
+
+
+def chunk_kernels(V, k):
+    """gwht_coeffs and component_walsh of one exhaustive_values chunk."""
+    V = np.ascontiguousarray(V.T)
+    return gwht_coeffs(V, k), component_walsh(V, k)
+
+
+def per_chunk_sweep(n, k):
+    """(total, count, verdicts, mismatches) of sweep_three_routes chunk by chunk."""
+    parts = [sweep_three_routes(n, k, V) for V in exhaustive_values(n, k)]
+    starts = itertools.accumulate((res.total for res in parts), initial=0)
+    return (sum(res.total for res in parts), sum(res.gbent_count for res in parts),
+            np.concatenate([res.verdicts for res in parts]),
+            tuple(s + i for res, s in zip(parts, starts) for i in res.mismatches))
+
+
+class TestSplitSpectra:
+    """Chunk spectra as suffix tables plus prefix terms, against the kernels."""
+
+    @pytest.mark.parametrize("n,k,chunks", [
+        (2, 2, None), (3, 1, None), (1, 6, None), (2, 4, None), (3, 2, None),
+        (4, 1, None), (1, 7, None), (2, 5, 16), (3, 3, 16)])
+    def test_chunks_equal_kernels_of_enumeration(self, n, k, chunks):
+        split = _split_spectra(n, k, (gwht_coeffs, component_walsh))
+        pairs = itertools.islice(itertools.zip_longest(split, exhaustive_values(n, k)), chunks)
+        seen = 0
+        for got, V in pairs:
+            assert got is not None and V is not None
+            for table, want in zip(got, chunk_kernels(V, k), strict=True):
+                assert table.dtype == want.dtype == np.int8
+                assert np.array_equal(table, want)
+            seen += 1
+        assert seen == (chunks or -(-(1 << (k << n)) // CHUNK))
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (1, 6), (2, 4), (2, 5), (1, 7), (4, 1), (1, 12)])
+    def test_suffix_is_the_largest_that_fits(self, n, k):
+        # the first kernel call is the suffix tables: 2^{sk} <= CHUNK functions,
+        # s points, and one more point would not fit; a space of one chunk
+        # makes that call only
+        sizes = []
+
+        def recorded(V, k):
+            sizes.append(V.shape[1])
+            return gwht_coeffs(V, k)
+
+        next(_split_spectra(n, k, (recorded,)))
+        s = sizes[0].bit_length() - 1
+        assert s % k == 0 and sizes[0] <= CHUNK
+        s //= k
+        if s == 1 << n:
+            assert sizes == [sizes[0]] == [1 << (k << n)]
+        else:
+            assert 1 << ((s + 1) * k) > CHUNK
+            assert max(sizes) <= CHUNK
+
+    @pytest.mark.parametrize("n,k,chunk", [(3, 3, CHUNK), (4, 1, CHUNK), (4, 1, 16)])
+    def test_extreme_prefix_term(self, monkeypatch, n, k, chunk):
+        # every prefix value 2^{k-1}: zeta^{2^{k-1}} = -1 and component sign
+        # -1 at every prefix point, so D_0(0) = -2 (2^n - s), the bound
+        monkeypatch.setattr("gbent.sweep.CHUNK", chunk)
+        N = 1 << n
+        s = min(N, (chunk.bit_length() - 1) // k)
+        Q, P = 1 << (s * k), chunk >> (s * k)
+        p = sum((1 << (k - 1)) << (k * j) for j in range(N - s))
+        c, col = divmod(p, P)
+        split = _split_spectra(n, k, (gwht_coeffs, component_walsh))
+        C, W = next(itertools.islice(split, c, None))
+        V = next(itertools.islice(exhaustive_values(n, k), c, None))
+        assert (V[col * Q, :N - s] == 1 << (k - 1)).all() and not V[col * Q, N - s:].any()
+        for table, want in zip((C, W), chunk_kernels(V, k), strict=True):
+            assert np.array_equal(table, want)
+            # the zero function's spectrum at u = 0 is 2^n, so this is 2^n + D_0(0)
+            assert table[0, 0, col * Q] == N - 2 * (N - s)
+
+    @pytest.mark.parametrize("n,k", SMALL_SPACES)
+    def test_sweep_equals_per_chunk_sweeps(self, n, k):
+        res = sweep_exhaustive(n, k)
+        total, count, verdicts, mismatches = per_chunk_sweep(n, k)
+        assert (res.total, res.gbent_count, res.mismatches) == (total, count, mismatches)
+        assert res.verdicts.dtype == bool and np.array_equal(res.verdicts, verdicts)
+
+    @pytest.mark.parametrize("n,k", [(2, 4), (3, 2), (1, 3)])
+    def test_mismatches_are_global_indices(self, monkeypatch, n, k):
+        # a spectral pass that fails function 3 of every chunk is a mismatch
+        # there, named by its index in the space, on both paths
+        spectral_pass = gbent.sweep.batch_spectral_pass
+
+        def broken(n, k, W, halves):
+            r, sign, mask = spectral_pass(n, k, W, halves)
+            mask[:, 3] = ~mask[:, 3]
+            return r, sign, mask
+
+        monkeypatch.setattr("gbent.sweep.batch_spectral_pass", broken)
+        res = sweep_exhaustive(n, k)
+        want = per_chunk_sweep(n, k)[3]
+        assert res.mismatches == want == tuple(range(3, res.total, CHUNK))
+
+    @pytest.mark.parametrize("n,k", SMALL_SPACES)
+    def test_search_hits_equal_per_chunk_path(self, n, k):
+        want = np.concatenate([V[batch_direct_flat(n, k, np.ascontiguousarray(V.T)).all(axis=0)]
+                               for V in exhaustive_values(n, k)])
+        found, total = search_gbent(n, k)
+        assert total == 1 << (k << n)
+        assert found.dtype == np.int64 and np.array_equal(found, want)
 
 
 class TestEnumeration:
